@@ -54,6 +54,21 @@
 // marker file under durable_dir survives the restart — and the
 // orchestrator's supervisor restarts exit-42 children up to the plan's
 // max_restarts budget.
+//
+// Where each hook fires. A peer's crash_in fires before the named message
+// is handled, its other hooks after it; the TS has no messages of its own
+// and fires at steps of its round loop instead:
+//
+//   role          crash_in          delay             exit_after / crash_after
+//   TS            after begin_round -                 - / after the commit
+//   PSC CP        cp_configure      -                 - / decrypt_pass
+//   PrivCount SK  configure         -                 - / sk_reveal
+//   PSC DC        dc_configure      dc_configure      report_request
+//   PrivCount DC  start_collection  start_collection  stop_collection
+//
+// Round control is written once, generic over the protocol: one TS loop
+// and one serve path each for DCs and for CPs/SKs, each driven by a small
+// per-protocol table of steps and control messages (node_runner.cpp).
 #pragma once
 
 #include <cstdint>
@@ -102,9 +117,5 @@ struct node_result {
 /// unwrapped), so classic single-round deployments keep their tally bytes.
 [[nodiscard]] std::string serialize_multiround_tally(
     const std::vector<std::string>& round_tallies);
-
-/// Writes `content` to `path` atomically (temp file + rename), so a
-/// watcher never observes a half-written tally.
-void write_file_atomic(const std::string& path, const std::string& content);
 
 }  // namespace tormet::cli

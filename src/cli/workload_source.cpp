@@ -310,29 +310,6 @@ void configure_dc_ingest(const deployment_plan& plan, core::event_sink& dc,
   if (pool != nullptr) dc.set_thread_pool(std::move(pool));
 }
 
-void configure_psc_dc(const deployment_plan& plan, psc::data_collector& dc,
-                      std::shared_ptr<util::thread_pool> pool) {
-  dc.set_extractor(core::extractor_by_name(plan.psc_extractor));
-  configure_dc_ingest(plan, dc, std::move(pool));
-}
-
-void configure_privcount_dc(const deployment_plan& plan,
-                            privcount::data_collector& dc,
-                            std::shared_ptr<util::thread_pool> pool) {
-  expects(!plan.instruments.empty(),
-          "event workload needs at least one instrument");
-  for (const auto& name : plan.instruments) {
-    // Prefer the slot-compiled batch form when one exists; the closure
-    // instrument is the fallback (identical increments either way).
-    if (auto fast = core::make_batch_instrument(name)) {
-      dc.add_instrument(std::move(fast));
-    } else {
-      dc.add_instrument(core::instrument_by_name(name));
-    }
-  }
-  configure_dc_ingest(plan, dc, std::move(pool));
-}
-
 trace_round_defaults defaults_for_model(const std::string& model) {
   trace_round_defaults d;
   const auto add = [&d](const std::string& instrument) {

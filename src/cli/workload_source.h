@@ -174,17 +174,6 @@ class workload_cursor {
 void configure_dc_ingest(const deployment_plan& plan, core::event_sink& dc,
                          std::shared_ptr<util::thread_pool> pool);
 
-/// Installs the plan's extractor (psc_extractor) and ingest-plane knobs
-/// on a PSC DC.
-void configure_psc_dc(const deployment_plan& plan, psc::data_collector& dc,
-                      std::shared_ptr<util::thread_pool> pool = nullptr);
-
-/// Installs the plan's instruments and ingest-plane knobs on a PrivCount
-/// DC.
-void configure_privcount_dc(const deployment_plan& plan,
-                            privcount::data_collector& dc,
-                            std::shared_ptr<util::thread_pool> pool = nullptr);
-
 /// Measurement defaults for a trace model: the instruments that consume
 /// its events, their counter specs, and the PSC extractor with signal on
 /// the model's event mix. tormet_tracegen writes plans from these.

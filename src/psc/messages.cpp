@@ -87,6 +87,13 @@ net::message encode_report_request(net::node_id from, net::node_id to,
   return make(from, to, msg_type::report_request, w);
 }
 
+std::uint32_t decode_report_request(const net::message& msg) {
+  net::wire_reader r{msg.payload};
+  const std::uint32_t round_id = r.read_u32();
+  r.expect_end();
+  return round_id;
+}
+
 net::message encode_vector(net::node_id from, net::node_id to, msg_type type,
                            const vector_msg& m) {
   net::wire_writer w;

@@ -75,6 +75,8 @@ struct vector_msg {
 
 [[nodiscard]] net::message encode_report_request(net::node_id from, net::node_id to,
                                                  std::uint32_t round_id);
+/// The round id a report_request asks for.
+[[nodiscard]] std::uint32_t decode_report_request(const net::message& msg);
 
 [[nodiscard]] net::message encode_vector(net::node_id from, net::node_id to,
                                          msg_type type, const vector_msg& m);

@@ -1,13 +1,12 @@
 #include "src/relay/publish.h"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "src/net/wire.h"
 #include "src/tor/event_codec.h"
-#include "src/util/op_log.h"
+#include "src/util/framed_file.h"
 
 namespace tormet::relay {
 
@@ -20,41 +19,15 @@ constexpr std::string_view k_pub_magic = "tormet-relay-pub-v1\n";
 /// most ~1 MiB of frames (and the CRC catches the tear regardless).
 constexpr std::size_t k_record_soft_bytes = 1u << 20;
 
-void append_framed(byte_buffer& out, byte_view payload) {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload);
-  const auto put_u32 = [&out](std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-  };
-  put_u32(len);
-  put_u32(crc);
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 [[noreturn]] void pub_fail(const std::string& what) {
   throw publish_error{"relay publish: " + what};
 }
 
-/// Reads the next [len][crc][payload] frame starting at `pos`; advances
-/// `pos` past it. Throws publish_error on truncation or CRC mismatch.
+/// Reads the next frame starting at `pos`; advances `pos` past it. Throws
+/// publish_error on truncation or CRC mismatch.
 [[nodiscard]] byte_view next_frame(byte_view data, std::size_t& pos) {
-  const auto get_u32 = [&](std::size_t at) {
-    return static_cast<std::uint32_t>(data[at]) |
-           (static_cast<std::uint32_t>(data[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(data[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(data[at + 3]) << 24);
-  };
-  if (data.size() - pos < 8) pub_fail("truncated record frame");
-  const std::uint32_t len = get_u32(pos);
-  const std::uint32_t crc = get_u32(pos + 4);
-  if (len > (64u << 20)) pub_fail("oversized record");
-  if (data.size() - pos - 8 < len) pub_fail("truncated record payload");
-  const byte_view payload = data.subspan(pos + 8, len);
-  if (util::crc32(payload) != crc) pub_fail("record CRC mismatch");
-  pos += 8 + len;
+  byte_view payload;
+  if (const char* fault = util::read_frame(data, pos, payload)) pub_fail(fault);
   return payload;
 }
 
@@ -103,7 +76,7 @@ byte_buffer encode_pub_window(const pub_window& w) {
     header.write_u64(w.header.epoch);
     header.write_u64(w.header.observed);
     header.write_u64(w.header.sampled);
-    append_framed(out, header.data());
+    util::append_frame(out, header.data());
   }
   net::wire_writer batch;
   std::size_t batch_count = 0;
@@ -116,7 +89,7 @@ byte_buffer encode_pub_window(const pub_window& w) {
     const byte_buffer body = batch.take();
     byte_buffer payload = record.take();
     payload.insert(payload.end(), body.begin(), body.end());
-    append_framed(out, payload);
+    util::append_frame(out, payload);
     batch = net::wire_writer{};
     batch_count = 0;
   };
@@ -179,19 +152,7 @@ std::string write_pub_file_atomic(const pub_window& w,
                                   const std::string& dir) {
   const std::string path = dir + "/" + pub_file_name(w.header.relay,
                                                      w.header.epoch);
-  const std::string tmp = path + ".tmp";
-  const byte_buffer bytes = encode_pub_window(w);
-  {
-    std::ofstream out{tmp, std::ios::trunc | std::ios::binary};
-    if (!out.good()) pub_fail("cannot open publish temp file " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) pub_fail("short write on publish temp file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    pub_fail("atomic rename of publish file failed: " + path);
-  }
+  util::write_file_atomic(path, encode_pub_window(w));
   return path;
 }
 

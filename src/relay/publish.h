@@ -2,7 +2,7 @@
 // agent accumulates one collection window in RAM and publishes it as a
 // single `relay-<relay>-window-<epoch>.pub` file: a versioned magic line
 // followed by CRC-framed records, the same `[u32 len][u32 crc][payload]`
-// framing the durable op-log uses (src/util/op_log.h), so torn or
+// framing the durable op-log uses (src/util/framed_file.h), so torn or
 // corrupted publishes are rejected loudly instead of silently skewing a
 // tally. Record 0 is the window header (relay id, epoch, observed/sampled
 // accounting); every later record carries a batch of sampled events, each

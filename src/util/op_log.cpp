@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -19,31 +17,12 @@ namespace {
 
 constexpr std::string_view k_log_magic = "tormet-oplog-v1\n";
 constexpr std::string_view k_ckpt_magic = "tormet-ckpt-v1\n";
-// A record far larger than any protocol snapshot is corruption, not data;
-// bounding it keeps a flipped length byte from allocating gigabytes.
-constexpr std::uint32_t k_max_record = 64u * 1024 * 1024;
-
-[[nodiscard]] constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 [[nodiscard]] std::string log_path(const std::string& dir) {
   return dir + "/oplog";
 }
 [[nodiscard]] std::string ckpt_path(const std::string& dir) {
   return dir + "/checkpoint";
-}
-
-void put_u32(byte_buffer& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
 /// Reads the whole file, or nullopt when it does not exist. Other I/O
@@ -60,29 +39,16 @@ void put_u32(byte_buffer& out, std::uint32_t v) {
   return data;
 }
 
-/// Parses one [len][crc][payload] frame at `off`, advancing it. Strict: a
-/// partial frame, oversized length, or checksum mismatch throws.
+/// Parses one frame at `off`, advancing it. Strict: a partial frame,
+/// oversized length, or checksum mismatch throws.
 [[nodiscard]] byte_buffer parse_record(const byte_buffer& data, std::size_t& off,
                                        const std::string& path) {
-  const auto fail = [&](const char* what) -> void {
-    throw op_log_error{std::string{what} + " in " + path + " at offset " +
+  byte_view payload;
+  if (const char* fault = read_frame(data, off, payload)) {
+    throw op_log_error{std::string{fault} + " in " + path + " at offset " +
                        std::to_string(off)};
-  };
-  if (data.size() - off < 8) fail("truncated record header");
-  const auto get_u32 = [&](std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | data[at + static_cast<std::size_t>(i)];
-    return v;
-  };
-  const std::uint32_t len = get_u32(off);
-  const std::uint32_t crc = get_u32(off + 4);
-  if (len > k_max_record) fail("oversized record");
-  if (data.size() - off - 8 < len) fail("truncated record payload");
-  byte_buffer payload{data.begin() + static_cast<std::ptrdiff_t>(off + 8),
-                      data.begin() + static_cast<std::ptrdiff_t>(off + 8 + len)};
-  if (crc32(payload) != crc) fail("record checksum mismatch");
-  off += 8 + len;
-  return payload;
+  }
+  return byte_buffer{payload.begin(), payload.end()};
 }
 
 void write_all(int fd, const std::uint8_t* data, std::size_t len,
@@ -100,13 +66,6 @@ void write_all(int fd, const std::uint8_t* data, std::size_t len,
 }
 
 }  // namespace
-
-std::uint32_t crc32(byte_view data) {
-  static constexpr std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
 
 durable_store::durable_store(std::string dir) : dir_{std::move(dir)} {
   std::error_code ec;
@@ -167,9 +126,7 @@ void durable_store::open_log_for_append(bool truncate) {
 void durable_store::append(byte_view record) {
   byte_buffer frame;
   frame.reserve(8 + record.size());
-  put_u32(frame, static_cast<std::uint32_t>(record.size()));
-  put_u32(frame, crc32(record));
-  frame.insert(frame.end(), record.begin(), record.end());
+  append_frame(frame, record);
   // One write() call per record: the frame reaches the OS atomically enough
   // for the process-crash model (_Exit / SIGKILL keep kernel buffers).
   write_all(log_fd_, frame.data(), frame.size(), log_path(dir_));
@@ -177,32 +134,9 @@ void durable_store::append(byte_view record) {
 }
 
 void durable_store::write_checkpoint(byte_view snapshot) {
-  const std::string path = ckpt_path(dir_);
-  const std::string tmp = path + ".tmp";
-  {
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      throw op_log_error{"cannot open " + tmp + ": " + std::strerror(errno)};
-    }
-    byte_buffer frame;
-    frame.reserve(k_ckpt_magic.size() + 8 + snapshot.size());
-    frame.insert(frame.end(), k_ckpt_magic.begin(), k_ckpt_magic.end());
-    put_u32(frame, static_cast<std::uint32_t>(snapshot.size()));
-    put_u32(frame, crc32(snapshot));
-    frame.insert(frame.end(), snapshot.begin(), snapshot.end());
-    try {
-      write_all(fd, frame.data(), frame.size(), tmp);
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
-    ::fsync(fd);
-    ::close(fd);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw op_log_error{"cannot rename " + tmp + ": " + std::strerror(errno)};
-  }
+  byte_buffer file{k_ckpt_magic.begin(), k_ckpt_magic.end()};
+  append_frame(file, snapshot);
+  write_file_atomic(ckpt_path(dir_), file, /*sync=*/true);
   // The snapshot supersedes every logged record: truncate the log back to
   // its header so the store stays bounded.
   open_log_for_append(/*truncate=*/true);

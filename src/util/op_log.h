@@ -11,7 +11,8 @@
 //   oplog       "tormet-oplog-v1\n" then records of [u32 len][u32 crc][payload]
 //   checkpoint  "tormet-ckpt-v1\n" then one [u32 len][u32 crc][payload] record
 //
-// A checkpoint write is tmp-file + rename (atomic on POSIX) and truncates
+// Framing and the checkpoint's tmp-file + rename replacement come from
+// src/util/framed_file.h. A checkpoint write is fsync'd and truncates
 // the op-log back to its header, which is what keeps the log bounded.
 // Loading is strict: any truncated, oversized, or CRC-mismatched input
 // throws op_log_error — corrupt durable state must fail loudly, never
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/framed_file.h"
 
 namespace tormet::util {
 
@@ -33,10 +35,6 @@ class op_log_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`. Exposed so tests
-/// can frame valid records and fuzzers can target the checksum.
-[[nodiscard]] std::uint32_t crc32(byte_view data);
 
 /// The recovered durable state: the last checkpoint snapshot (empty if no
 /// checkpoint was ever written) plus every op-log record appended after it,

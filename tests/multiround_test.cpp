@@ -804,9 +804,12 @@ TEST(DurableRoundTest, PrivcountKillRestartEveryRoleIsExact) {
   assign_free_ports(plan);
 
   // Node layout: TS=0, SK=1, DCs 2-4. Crash the TS entering round 2, the
-  // SK after round 1's reveal, and DC 3 at round 3's collection start
-  // (the ':' clause spelling exercises the parser's normalizer).
-  fault_env fault{"0 crash_in_round:1;1 crash_after_round:0;3 crash_in_round:2"};
+  // SK after round 1's reveal, DC 3 at round 3's collection start and
+  // DC 4 right after round 1's report (the ':' clause spelling exercises
+  // the parser's normalizer).
+  fault_env fault{
+      "0 crash_in_round:1;1 crash_after_round:0;3 crash_in_round:2;"
+      "4 crash_after_round:0"};
   const distributed_round_result result =
       run_distributed_round(plan, bin, workdir.path(), 150'000);
   for (const auto& n : result.nodes) {
@@ -815,6 +818,7 @@ TEST(DurableRoundTest, PrivcountKillRestartEveryRoleIsExact) {
   EXPECT_GE(restarts_of(result, 0), 1);
   EXPECT_GE(restarts_of(result, 1), 1);
   EXPECT_GE(restarts_of(result, 3), 1);
+  EXPECT_GE(restarts_of(result, 4), 1);
 
   // Byte-identity is the whole point: noise included, every recovery path
   // must reproduce the uninterrupted run exactly.
@@ -825,10 +829,11 @@ TEST(DurableRoundTest, PrivcountKillRestartEveryRoleIsExact) {
 }
 
 /// PSC with every role killed and restarted: the TS right after committing
-/// round 1, a CP at round 2's configure (before its key share), and a DC
-/// at round 3's configure. Recovery must reproduce the reference bytes —
-/// the mix-chain RNG streams are re-derived per round, so a retried round
-/// is byte-identical to the interrupted attempt.
+/// round 1, a CP at round 2's configure (before its key share), a DC at
+/// round 3's configure and another right after its round-2 report.
+/// Recovery must reproduce the reference bytes — the mix-chain RNG streams
+/// are re-derived per round, so a retried round is byte-identical to the
+/// interrupted attempt.
 TEST(DurableRoundTest, PscKillRestartEveryRoleIsExact) {
   const std::string bin = node_binary();
   if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
@@ -856,8 +861,11 @@ TEST(DurableRoundTest, PscKillRestartEveryRoleIsExact) {
   plan.tally_path = workdir.path() + "/tally.out";
   assign_free_ports(plan);
 
-  // Node layout: TS=0, CPs 1-2, DCs 3-4.
-  fault_env fault{"0 crash_after_round 0;1 crash_in_round 1;3 crash_in_round 2"};
+  // Node layout: TS=0, CPs 1-2, DCs 3-4; DC 4 also dies right after its
+  // round-2 report.
+  fault_env fault{
+      "0 crash_after_round 0;1 crash_in_round 1;3 crash_in_round 2;"
+      "4 crash_after_round 1"};
   const distributed_round_result result =
       run_distributed_round(plan, bin, workdir.path(), 150'000);
   for (const auto& n : result.nodes) {
@@ -866,6 +874,7 @@ TEST(DurableRoundTest, PscKillRestartEveryRoleIsExact) {
   EXPECT_GE(restarts_of(result, 0), 1);
   EXPECT_GE(restarts_of(result, 1), 1);
   EXPECT_GE(restarts_of(result, 3), 1);
+  EXPECT_GE(restarts_of(result, 4), 1);
   EXPECT_EQ(result.tally, run_reference_round(plan));
 }
 
