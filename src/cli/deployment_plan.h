@@ -165,17 +165,17 @@ struct deployment_plan {
   /// op-log is folded into a checkpoint and truncated.
   std::uint32_t checkpoint_every = 8;
 
-  /// Ingest shards per DC process (>= 1): batched events are hash-
-  /// partitioned by client/circuit key across this many flat counter
-  /// slabs (PrivCount) or seeded-insert buckets (PSC) before merging.
-  /// Purely a throughput knob — the merged tally bytes are identical for
-  /// every value, which tests/distributed_test.cpp asserts.
+  /// Ingest shards per DC process (>= 1): PrivCount hash-partitions
+  /// batched events by client/circuit key across this many flat counter
+  /// slabs before merging; PSC accepts the value but dedupes each span by
+  /// bin instead. Purely a throughput knob — the merged tally bytes are
+  /// identical for every value, which tests/distributed_test.cpp asserts.
   std::size_t dc_shards = 1;
 
-  /// Ingest worker threads per DC process (0 = run every shard on the
+  /// Ingest worker threads per DC process (0 = run all ingest on the
   /// calling thread). Like dc_shards, purely a throughput knob: each
-  /// worker owns a disjoint set of shards, so the merged tally bytes are
-  /// identical for every value.
+  /// worker owns a disjoint set of shards (PrivCount) or touched bins
+  /// (PSC), so the merged tally bytes are identical for every value.
   std::size_t dc_ingest_threads = 0;
 
   /// Relay-fleet circuit sampling probability in (0, 1]: each relay's

@@ -30,6 +30,7 @@
 #include "src/util/framed_file.h"
 #include "src/util/logging.h"
 #include "src/util/op_log.h"
+#include "src/util/thread_pool.h"
 
 namespace tormet::cli {
 
@@ -1171,6 +1172,19 @@ const dc_protocol<privcount::data_collector> k_privcount_dc{
     nullptr,
 };
 
+/// The crypto pool of a PSC TS or CP process. The CP chain is strictly
+/// sequential (TS → CP1 → … → TS, for the mix and again for the decrypt),
+/// so only one of these roles is busy at a time and each may use every
+/// core. parallel_for also runs on the calling thread, hence one worker
+/// fewer than the hardware threads; none at all on one core (a pool of 0
+/// would mean "hardware concurrency"). The engine's bytes never depend on
+/// the worker count.
+[[nodiscard]] std::shared_ptr<util::thread_pool> make_psc_crypto_pool() {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  if (hw <= 1) return nullptr;
+  return std::make_shared<util::thread_pool>(hw - 1);
+}
+
 }  // namespace
 
 node_result run_node(const deployment_plan& plan, net::node_id self) {
@@ -1198,6 +1212,7 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
         tolerant_transport net{fabric};
         psc::tally_server ts{self, net, plan.ids_with(node_role::psc_dc),
                              plan.ids_with(node_role::psc_cp)};
+        ts.set_thread_pool(make_psc_crypto_pool());
         return run_ts(net, plan, self, ts, k_psc_ts);
       }
       case node_role::privcount_ts: {
@@ -1210,6 +1225,7 @@ node_result run_node(const deployment_plan& plan, net::node_id self) {
       }
       case node_role::psc_cp: {
         psc::computation_party cp{self, ts_id, fabric, rng};
+        cp.set_thread_pool(make_psc_crypto_pool());
         serve_peer(fabric, plan, self, rng, cp, k_psc_cp);
         return {};
       }

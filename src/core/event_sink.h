@@ -12,9 +12,9 @@
 //     byte-identical to observing its events one by one.
 //   * set_shards / set_thread_pool are pure throughput knobs. Tally bytes
 //     never depend on the shard count, the worker count, or how the pool
-//     schedules shard work — partitions are keyed by stable per-event
-//     hashes and merges are commutative (PrivCount slab addition) or
-//     per-bin order-preserving (PSC last-insert-wins seeded inserts).
+//     schedules shard work — PrivCount partitions are keyed by stable
+//     per-event hashes and merge by commutative slab addition; PSC keeps
+//     the last pre-drawn seed per bin (last-insert-wins seeded inserts).
 //   * Ingest-plane reconfiguration is a between-rounds operation: while a
 //     round is active the implementation rejects (or defers to the next
 //     round's configure) any shard/pool change — see each collector's

@@ -73,8 +73,9 @@ struct shuffle_result {
 
 /// Batched + threaded mix pass: permutes, rerandomizes via `engine` (the
 /// permutation, batch seed, and commitment seed come from `rng`; group math
-/// runs on the engine's pool), and fills `transcript` from `input_encoded`
-/// and the freshly encoded output without re-serializing either vector.
+/// and the output encoding run on the engine's pool), and fills
+/// `transcript` from `input_encoded` and the freshly encoded output without
+/// re-serializing either vector.
 /// `input_encoded[i]` must equal scheme.encode(input[i]) (digest-checked
 /// protocols would reject a mismatch downstream, not here).
 [[nodiscard]] shuffle_result shuffle_and_rerandomize_encoded(

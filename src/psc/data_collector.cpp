@@ -1,5 +1,7 @@
 #include "src/psc/data_collector.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
@@ -48,7 +50,7 @@ void data_collector::handle_message(const net::message& msg) {
       }
       vector_msg report;
       report.round_id = round_id_;
-      report.ciphertexts = engine_->scheme().encode_batch(set_->take_slots());
+      report.ciphertexts = engine_->encode_batch(set_->take_slots());
       transport_.send(encode_vector(self_, tally_server_, msg_type::dc_vector,
                                     report));
       set_.reset();  // the table has been shipped; nothing remains to seize
@@ -76,48 +78,49 @@ void data_collector::observe(const tor::event& ev) {
 void data_collector::ingest(const tor::event* evs, std::size_t n) {
   if (extractor_ == nullptr || set_ == nullptr || n == 0) return;
   events_observed_ += n;
-  if (shards_ == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::optional<std::string> item = extractor_(evs[i]);
-      if (item.has_value()) insert_item(*item);
-    }
-    return;
-  }
   // Serial pre-pass in event order: hash each extracted item to its bin and
-  // draw its insert seed. Drawing here (not in the per-shard loop) keeps the
-  // rng stream identical to observe()-per-event, and bucketing by bin means
-  // one bin is only ever touched by one shard, so in-bin insert order equals
-  // event order and last-insert-wins yields partition-independent bytes.
-  buckets_.resize(shards_);
-  for (auto& b : buckets_) b.clear();
+  // draw its insert seed, one draw per item, so the rng stream is identical
+  // to observe()-per-event. Each ciphertext is a pure function of (bin,
+  // seed) and the last insert into a bin wins, so only the last seed per
+  // bin needs an encryption: the table bytes equal the per-event path.
+  pending_slot_.resize(set_->bins(), k_no_slot);
   for (std::size_t i = 0; i < n; ++i) {
     const std::optional<std::string> item = extractor_(evs[i]);
     if (!item.has_value()) continue;
     const std::size_t bin = set_->bin_of(as_bytes(*item));
     const std::uint64_t seed = rng_.next_u64();
     ++items_inserted_;
-    buckets_[bin % shards_].emplace_back(bin, seed);
+    if (pending_slot_[bin] == k_no_slot) {
+      pending_slot_[bin] = pending_.size();
+      pending_.emplace_back(bin, seed);
+    } else {
+      pending_[pending_slot_[bin]].second = seed;
+    }
   }
+  const auto insert_range = [this](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      set_->insert_seeded_bin(pending_[i].first, pending_[i].second);
+    }
+  };
   if (pool_ != nullptr) {
-    // Execute the seeded inserts on the workers, one chunk of shards per
-    // party. Bins are owned by exactly one shard and each ciphertext is a
-    // pure function of (bin, seed), so concurrent chunks write disjoint
-    // slots and the table bytes match the serial path for every worker
-    // count; the parallel_for return is the window-end merge barrier.
+    // Distinct bins split contiguously, one range per party: concurrent
+    // ranges write disjoint slots, and the parallel_for return is the
+    // merge barrier.
     const std::size_t parties = pool_->size() + 1;
-    const std::size_t grain = (shards_ + parties - 1) / parties;
-    pool_->parallel_for(shards_, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        for (const auto& [bin, seed] : buckets_[s]) {
-          set_->insert_seeded_bin(bin, seed);
-        }
-      }
-    });
-    return;
+    const std::size_t grain =
+        std::max<std::size_t>(1, (pending_.size() + parties - 1) / parties);
+    pool_->parallel_for(pending_.size(), grain, insert_range);
+  } else {
+    insert_range(0, pending_.size());
   }
-  for (auto& b : buckets_) {
-    for (const auto& [bin, seed] : b) set_->insert_seeded_bin(bin, seed);
+  // The dedupe scope is this call: wipe which bins were touched, and their
+  // seeds, so between calls the DC holds nothing but ciphertexts.
+  for (auto& [bin, seed] : pending_) {
+    pending_slot_[bin] = k_no_slot;
+    bin = 0;
+    seed = 0;
   }
+  pending_.clear();
 }
 
 }  // namespace tormet::psc

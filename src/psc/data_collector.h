@@ -1,8 +1,9 @@
 // PSC data collector: owns the oblivious encrypted bit table for one
 // measurement relay, feeds items into it during collection, and ships the
-// encrypted table to the tally server on request. Batched ingest is
-// sharded by bin and optionally runs the shards on a worker pool; the
-// table bytes never depend on the shard count or the worker count.
+// encrypted table to the tally server on request. Batched ingest dedupes
+// each span by bin, so every touched bin costs one encryption, and
+// optionally splits those encryptions over a worker pool; the table bytes
+// never depend on the span boundaries or the worker count.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +38,12 @@ class data_collector final : public core::event_sink {
 
   void set_extractor(extractor fn);
   /// Shares `pool` for the bulk table initialization at configure time and
-  /// for running the ingest shards. Rejected while a table is live (between
-  /// dc_configure and the report): the ingest plane is reconfigured between
-  /// rounds only.
+  /// for the per-bin encryptions of batched ingest. Rejected while a table
+  /// is live (between dc_configure and the report): the ingest plane is
+  /// reconfigured between rounds only.
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool) override;
-  /// Number of ingest shards (>= 1) for batched ingest. The table bytes
-  /// are identical for every value: seeds are pre-drawn per insert in
-  /// event order and bins are owned by exactly one shard, so the
-  /// last-insert-wins slot contents never depend on the partition.
+  /// Validates and records the plan's ingest shard count (>= 1). PSC ingest
+  /// does not partition by shard, so the value never reaches the table.
   /// Rejected while a table is live, like set_thread_pool.
   void set_shards(std::size_t n) override;
   [[nodiscard]] std::size_t shards() const noexcept override { return shards_; }
@@ -52,10 +51,11 @@ class data_collector final : public core::event_sink {
   void observe(const tor::event& ev) override;
 
   /// Feeds a contiguous batch of observed events: a serial pre-pass runs
-  /// the extractor and draws one insert seed per item in event order, then
-  /// each shard executes the seeded inserts for the bins it owns — one
-  /// pool worker per shard chunk when a pool is attached.
-  /// Byte-equivalent to observe() per event.
+  /// the extractor and draws one insert seed per item in event order,
+  /// keeping only the last seed per bin; then each touched bin gets one
+  /// seeded insert, split contiguously over the pool when one is attached.
+  /// Byte-equivalent to observe() per event. The dedupe never spans calls:
+  /// the touched bins and their seeds are wiped before this returns.
   void ingest(const tor::event* evs, std::size_t n) override;
 
   /// Direct item insertion (for callers not going through tor events).
@@ -80,8 +80,12 @@ class data_collector final : public core::event_sink {
   crypto::secure_rng& rng_;
   extractor extractor_;
   std::size_t shards_ = 1;
-  /// Ingest scratch: (bin, seed) pairs bucketed by owning shard.
-  std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>> buckets_;
+  /// Ingest scratch, empty between calls: the last (bin, seed) of every
+  /// bin the current span touched, in first-touch order, and each bin's
+  /// index into that list (k_no_slot when untouched).
+  static constexpr std::size_t k_no_slot = static_cast<std::size_t>(-1);
+  std::vector<std::pair<std::size_t, std::uint64_t>> pending_;
+  std::vector<std::size_t> pending_slot_;
   std::uint64_t events_observed_ = 0;
   std::uint64_t items_inserted_ = 0;
 

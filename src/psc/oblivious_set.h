@@ -37,10 +37,10 @@ class oblivious_set {
 
   /// Inserts into a specific bin using encryption randomness derived from
   /// `seed` alone (domain-separated ChaCha20 stream). Because the
-  /// ciphertext depends only on (bin, seed), sharded ingest can pre-draw
-  /// one seed per insert in event order and then execute the inserts in
-  /// any per-bin-order-preserving schedule: the last insert into a bin
-  /// wins, so the final table bytes are independent of the shard count.
+  /// ciphertext depends only on (bin, seed), batched ingest can pre-draw
+  /// one seed per insert in event order and then encrypt only the last
+  /// seed of each bin, in any order: the last insert into a bin wins, so
+  /// the table bytes equal the per-event path.
   void insert_seeded_bin(std::size_t bin, std::uint64_t seed);
 
   [[nodiscard]] std::size_t bins() const noexcept { return slots_.size(); }

@@ -2,10 +2,11 @@
 // sharded data collector buckets each observed event by a stable per-event
 // key — the client identity when the event carries one, the stream target
 // or onion address otherwise — so all events of one client (or one
-// circuit's streams) land on the same shard. Correctness never depends on
-// the partition: counter slabs merge by commutative addition and PSC bin
-// inserts are keyed per bin, so tally bytes are identical for every shard
-// count. The partition only buys cache locality and future parallelism.
+// circuit's streams) land on the same shard. Only the PrivCount DC
+// partitions by shard; its counter slabs merge by commutative addition,
+// so tally bytes are identical for every shard count. The partition only
+// buys cache locality and parallelism. Relay sampling and routing use
+// shard_key_of too.
 #pragma once
 
 #include <cstddef>

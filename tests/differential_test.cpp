@@ -83,7 +83,8 @@ struct round_run {
 /// coin values — though not their count — would legitimately diverge.
 [[nodiscard]] round_run run_round(crypto::group_backend backend,
                                   std::size_t worker_threads,
-                                  bool noise = false) {
+                                  bool noise = false, std::uint64_t bins = 128,
+                                  std::size_t parties = 3) {
   tor::consensus_params params;
   params.num_relays = 120;
   params.seed = 29;
@@ -92,9 +93,10 @@ struct round_run {
 
   recording_net bus;
   deployment_config cfg;
-  cfg.num_computation_parties = 3;
-  cfg.measured_relays.assign(guards.begin(), guards.begin() + 3);
-  cfg.round.bins = 128;
+  cfg.num_computation_parties = parties;
+  cfg.measured_relays.assign(guards.begin(),
+                             guards.begin() + static_cast<std::ptrdiff_t>(parties));
+  cfg.round.bins = bins;
   cfg.round.group = backend;
   cfg.round.noise_enabled = noise;
   cfg.round.sensitivity = 1.0;
@@ -163,6 +165,27 @@ TEST(BackendDifferentialTest, PooledRunIsByteIdenticalToSerialRun) {
                          run_round(crypto::group_backend::toy, 4, true));
   expect_identical_bytes(run_round(crypto::group_backend::p256, 0, true),
                          run_round(crypto::group_backend::p256, 4, true));
+}
+
+TEST(BackendDifferentialTest, PooledRunSpanningEngineShardsIsByteIdentical) {
+  // The 128-bin rounds above fit every vector in one 512-element engine
+  // shard, so their pool never splits a batch. 1100 bins put every DC
+  // table, the TS combine and each CP's mix and decrypt vector across
+  // three shards (512 + 512 + 76), each with its own seeded stream.
+  // Noiseless with two DCs and two CPs keeps the p256 round short; the
+  // seeded shard streams are the same code path with or without noise
+  // ciphertexts appended.
+  constexpr std::uint64_t k_bins = 1100;
+  const round_run serial =
+      run_round(crypto::group_backend::p256, 0, false, k_bins, 2);
+  ASSERT_FALSE(serial.trace.empty());
+  for (const auto& e : serial.trace) {
+    if (e.vector_len != 0) {
+      EXPECT_GE(e.vector_len, 2 * 512 + 1);
+    }
+  }
+  expect_identical_bytes(serial,
+                         run_round(crypto::group_backend::p256, 4, false, k_bins, 2));
 }
 
 }  // namespace

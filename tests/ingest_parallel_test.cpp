@@ -1,11 +1,14 @@
-// Parallel-ingest tests: the {shards} x {workers} differential matrix the
-// event_sink contract promises — a DC's report bytes are a function of the
-// event stream alone, never of how the stream was partitioned across
-// ingest shards or which pool workers executed them. The baseline for
-// every combination is the strictest one: observe() per event through the
-// polymorphic core::event_sink surface, serial, single shard. Also pins
-// the between-rounds-only reconfiguration guard in both protocols and
-// soaks the threaded path (the ASan/TSan CI legs run this binary).
+// Parallel-ingest tests: the differential matrices the event_sink contract
+// promises — a DC's report bytes are a function of the event stream alone,
+// never of how the stream was partitioned or which pool workers executed
+// it. PrivCount runs {shards} x {workers}; PSC, whose ingest dedupes each
+// span by bin, runs {workers} x {span splits} plus the dedupe edge cases
+// (one repeated item, items colliding in one bin, consecutive calls). The
+// baseline for every combination is the strictest one: observe() per
+// event through the polymorphic core::event_sink surface, serial, single
+// shard. Also pins the between-rounds-only reconfiguration guard in both
+// protocols and soaks the threaded path (the ASan/TSan CI legs run this
+// binary).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "src/privcount/messages.h"
 #include "src/psc/data_collector.h"
 #include "src/psc/messages.h"
+#include "src/psc/oblivious_set.h"
 #include "src/tor/trace_socket.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -214,11 +219,14 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
 /// Runs one PSC collection over `events` and returns the encrypted table's
 /// wire payload. Same comparability argument as the PrivCount helper: a
 /// fixed rng seed pins table-init and insert randomness, so any divergence
-/// is the partition leaking into the bytes.
+/// is the span split or the worker count leaking into the bytes. `chunk`
+/// == 0 feeds observe() per event; any other value feeds ingest() spans of
+/// that size.
 [[nodiscard]] std::vector<std::uint8_t> psc_table_bytes(
     crypto::group_backend backend, const std::vector<tor::event>& events,
-    std::uint64_t bins, std::size_t shards, std::size_t workers,
-    std::size_t chunk) {
+    std::uint64_t bins, std::size_t workers, std::size_t chunk,
+    psc::data_collector::extractor extract =
+        core::extractor_by_name("primary_sld")) {
   net::inproc_net bus;
   std::vector<std::uint8_t> table;
   bus.register_node(0, [&](const net::message& m) {
@@ -228,8 +236,7 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
   });
   crypto::deterministic_rng rng{999};
   psc::data_collector dc{1, 0, bus, rng};
-  dc.set_extractor(core::extractor_by_name("primary_sld"));
-  dc.set_shards(shards);
+  dc.set_extractor(std::move(extract));
   if (workers > 0) {
     dc.set_thread_pool(std::make_shared<util::thread_pool>(workers));
   }
@@ -261,40 +268,100 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
   return table;
 }
 
-TEST(ParallelIngestTest, PscToyShardWorkerMatrixIsByteIdentical) {
-  const std::vector<tor::event> events = zipf_events(4'000, 29);
+/// Worker counts for the PSC matrix; 0 is the no-pool serial dedupe path.
+[[nodiscard]] std::vector<std::size_t> psc_worker_matrix() { return {0, 2, 4}; }
+
+/// Asserts ingest() over every {worker} x {span split} combination yields
+/// the bytes of per-event observe(). Split 0 means the whole stream as one
+/// span; the odd sizes put span edges everywhere relative to bin repeats.
+void expect_psc_matrix_matches_observe(
+    crypto::group_backend backend, const std::vector<tor::event>& events,
+    std::uint64_t bins, const std::vector<std::size_t>& chunks,
+    const psc::data_collector::extractor& extract) {
   const std::vector<std::uint8_t> reference =
-      psc_table_bytes(crypto::group_backend::toy, events, 256, 1, 0, 0);
-  for (const std::size_t shards : shard_matrix()) {
-    for (const std::size_t workers : worker_matrix()) {
-      EXPECT_EQ(psc_table_bytes(crypto::group_backend::toy, events, 256,
-                                shards, workers, 1024),
+      psc_table_bytes(backend, events, bins, 0, 0, extract);
+  for (const std::size_t workers : psc_worker_matrix()) {
+    for (const std::size_t chunk : chunks) {
+      const std::size_t span = chunk == 0 ? events.size() : chunk;
+      EXPECT_EQ(psc_table_bytes(backend, events, bins, workers, span, extract),
                 reference)
-          << "table diverged at " << shards << " shards x " << workers
-          << " workers";
+          << "table diverged at " << workers << " workers, span " << span;
     }
-    EXPECT_EQ(
-        psc_table_bytes(crypto::group_backend::toy, events, 256, shards, 0, 1024),
-        reference)
-        << "serial table diverged at " << shards << " shards";
   }
 }
 
-TEST(ParallelIngestTest, PscP256ShardWorkerMatrixIsByteIdentical) {
-  // The production backend: parallel seeded inserts must be byte-stable on
-  // real EC ciphertexts (thread_local scratch, comb tables), not just the
-  // toy group. Smaller stream — every insert is a real encryption.
+TEST(ParallelIngestTest, PscToyWorkerSplitMatrixIsByteIdentical) {
+  const std::vector<tor::event> events = zipf_events(4'000, 29);
+  expect_psc_matrix_matches_observe(crypto::group_backend::toy, events, 256,
+                                    {1, 7, 333, 0},
+                                    core::extractor_by_name("primary_sld"));
+}
+
+TEST(ParallelIngestTest, PscP256WorkerSplitMatrixIsByteIdentical) {
+  // The production backend: deduped, pooled seeded inserts must be
+  // byte-stable on real EC ciphertexts (thread_local scratch, comb
+  // tables), not just the toy group. Smaller stream — every insert of the
+  // observe() reference is a real encryption.
   const std::vector<tor::event> events = zipf_events(600, 31);
-  const std::vector<std::uint8_t> reference =
-      psc_table_bytes(crypto::group_backend::p256, events, 64, 1, 0, 0);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    for (const std::size_t workers : worker_matrix()) {
-      EXPECT_EQ(psc_table_bytes(crypto::group_backend::p256, events, 64,
-                                shards, workers, 256),
-                reference)
-          << "table diverged at " << shards << " shards x " << workers
-          << " workers";
+  expect_psc_matrix_matches_observe(crypto::group_backend::p256, events, 64,
+                                    {7, 256, 0},
+                                    core::extractor_by_name("primary_sld"));
+}
+
+TEST(ParallelIngestTest, PscDedupeOfOneRepeatedItemIsByteIdentical) {
+  // Every event extracts the same item: a whole span collapses to one
+  // encryption, which must carry the span's last seed.
+  const std::vector<tor::event> events = zipf_events(2'000, 41);
+  expect_psc_matrix_matches_observe(
+      crypto::group_backend::toy, events, 128, {1, 7, 333, 0},
+      [](const tor::event&) -> std::optional<std::string> {
+        return std::string{"the-only-item"};
+      });
+}
+
+TEST(ParallelIngestTest, PscDedupeOfItemsCollidingInOneBinIsByteIdentical) {
+  // Distinct items that hash to one bin: dedupe is by bin, not by item,
+  // so the bin's last seed wins whichever item drew it.
+  constexpr std::uint64_t k_bins = 64;
+  const std::shared_ptr<const crypto::group> group =
+      crypto::make_group(crypto::group_backend::toy);
+  const crypto::elgamal scheme{group};
+  crypto::deterministic_rng rng{3};
+  const psc::oblivious_set probe{scheme, scheme.generate_keypair(rng).pub,
+                                 k_bins, rng};
+  std::vector<std::string> colliding;
+  for (int i = 0; colliding.size() < 5; ++i) {
+    std::string item = "item-" + std::to_string(i);
+    if (probe.bin_of(as_bytes(item)) == probe.bin_of(as_bytes("item-0"))) {
+      colliding.push_back(std::move(item));
     }
+  }
+  const std::vector<tor::event> events = zipf_events(2'000, 43);
+  // Every third event hits the shared bin through one of the colliding
+  // items; the rest take their own primary_sld bins. Both feed paths hand
+  // the extractor references into `events`, so its index picks the item.
+  const auto sld = core::extractor_by_name("primary_sld");
+  expect_psc_matrix_matches_observe(
+      crypto::group_backend::toy, events, k_bins, {1, 7, 333, 0},
+      [&](const tor::event& ev) -> std::optional<std::string> {
+        const auto i = static_cast<std::size_t>(&ev - events.data());
+        if (i % 3 == 0) return colliding[(i / 3) % colliding.size()];
+        return sld(ev);
+      });
+}
+
+TEST(ParallelIngestTest, PscConsecutiveIngestCallsMatchObserveOverBoth) {
+  // ingest(A) then ingest(B) equals observe() over A+B: the dedupe scope
+  // is one call, and a bin touched in both spans keeps B's seed.
+  const std::vector<tor::event> events = zipf_events(3'000, 47);
+  const std::vector<std::uint8_t> reference =
+      psc_table_bytes(crypto::group_backend::toy, events, 128, 0, 0);
+  const std::size_t split = events.size() / 3 + 1;
+  for (const std::size_t workers : psc_worker_matrix()) {
+    EXPECT_EQ(psc_table_bytes(crypto::group_backend::toy, events, 128, workers,
+                              split),
+              reference)
+        << "two-call ingest diverged at " << workers << " workers";
   }
 }
 
@@ -350,10 +417,9 @@ TEST(ParallelIngestTest, ThreadedIngestSoakStaysConsistentAcrossRounds) {
     }
   }
   const std::vector<std::uint8_t> psc_first =
-      psc_table_bytes(crypto::group_backend::toy, events, 512, 2 * hw, hw, 913);
-  EXPECT_EQ(
-      psc_table_bytes(crypto::group_backend::toy, events, 512, 3, 2, 4096),
-      psc_first);
+      psc_table_bytes(crypto::group_backend::toy, events, 512, hw, 913);
+  EXPECT_EQ(psc_table_bytes(crypto::group_backend::toy, events, 512, 2, 4096),
+            psc_first);
 }
 
 // -- flash-crowd socket-feeder stress ----------------------------------------
