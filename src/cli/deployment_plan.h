@@ -65,7 +65,7 @@ struct node_spec {
 ///               (src/relay/): DC k's slice is routed onto relay_count/dcs
 ///               embedded stats agents that sample (see sample_prob),
 ///               publish per-window `.pub` files, and are aggregated back
-///               into the DC's sharded ingest plane; declared as `workload
+///               into the DC's ingest plane; declared as `workload
 ///               relays <count>,<model>,<scale>,<events>,<seed>[,<days>]`
 enum class workload_kind : std::uint8_t {
   synthetic,
@@ -165,17 +165,16 @@ struct deployment_plan {
   /// op-log is folded into a checkpoint and truncated.
   std::uint32_t checkpoint_every = 8;
 
-  /// Ingest shards per DC process (>= 1): PrivCount hash-partitions
-  /// batched events by client/circuit key across this many flat counter
-  /// slabs before merging; PSC accepts the value but dedupes each span by
-  /// bin instead. Purely a throughput knob — the merged tally bytes are
-  /// identical for every value, which tests/distributed_test.cpp asserts.
+  /// Deprecated: parsed and validated (1..4096), then ignored — neither
+  /// DC partitions by shard any more. Kept so existing plans still parse.
   std::size_t dc_shards = 1;
 
   /// Ingest worker threads per DC process (0 = run all ingest on the
-  /// calling thread). Like dc_shards, purely a throughput knob: each
-  /// worker owns a disjoint set of shards (PrivCount) or touched bins
-  /// (PSC), so the merged tally bytes are identical for every value.
+  /// calling thread). Purely a throughput knob: PrivCount splits each
+  /// ingest span into contiguous chunks, one per worker plus the caller,
+  /// each counted into its own slab row; PSC splits each span's touched
+  /// bins the same way. The merged tally bytes are identical for every
+  /// value, which tests/distributed_test.cpp asserts.
   std::size_t dc_ingest_threads = 0;
 
   /// Relay-fleet circuit sampling probability in (0, 1]: each relay's

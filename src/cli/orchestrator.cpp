@@ -60,32 +60,92 @@ void check_canonical_layout(const deployment_plan& plan, node_role mid,
   return buf.str();
 }
 
+/// A loopback TCP socket bound to `port` (0 = any free port), or -1 when
+/// the bind fails. SO_REUSEADDR matches the node and event listeners, so a
+/// port they could bind is a port the probe can bind.
+[[nodiscard]] int bind_probe(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  expects(fd >= 0, "socket() for port probing failed");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+[[nodiscard]] std::uint16_t bound_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    throw net::transport_error{"port probing failed"};
+  }
+  return ntohs(addr.sin_port);
+}
+
+/// Finds `count` consecutive free loopback ports: takes a free base port,
+/// then binds the next count - 1; when one of them is taken, releases the
+/// run and retries from another base. The bound run stays in `probes` (the
+/// caller releases it with the other probes, on every path) and its first
+/// port is returned.
+[[nodiscard]] std::uint16_t free_port_range(std::size_t count,
+                                            std::vector<int>& probes) {
+  constexpr int k_attempts = 64;
+  for (int attempt = 0; attempt < k_attempts; ++attempt) {
+    const std::size_t first = probes.size();
+    const int base_fd = bind_probe(0);
+    if (base_fd < 0) break;
+    probes.push_back(base_fd);
+    const std::uint16_t base = bound_port(base_fd);
+    std::size_t bound = 1;
+    for (; bound < count && base + bound <= 0xffffu; ++bound) {
+      const int fd = bind_probe(static_cast<std::uint16_t>(base + bound));
+      if (fd < 0) break;
+      probes.push_back(fd);
+    }
+    if (bound >= count) return base;
+    for (std::size_t i = first; i < probes.size(); ++i) ::close(probes[i]);
+    probes.resize(first);
+  }
+  throw net::transport_error{"no run of " + std::to_string(count) +
+                             " free consecutive ports"};
+}
+
 }  // namespace
 
 void assign_free_ports(deployment_plan& plan) {
   // Keep every probe socket open until all ports are chosen, so the kernel
-  // cannot hand the same ephemeral port out twice within one call.
+  // cannot hand the same port out twice within one call.
   std::vector<int> probes;
-  for (auto& n : plan.nodes) {
-    if (n.port != 0) continue;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    expects(fd >= 0, "socket() for port probing failed");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    socklen_t len = sizeof addr;
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-      ::close(fd);
-      throw net::transport_error{"port probing failed"};
+  const auto release = [&probes] {
+    for (const int fd : probes) ::close(fd);
+  };
+  try {
+    for (auto& n : plan.nodes) {
+      if (n.port != 0) continue;
+      const int fd = bind_probe(0);
+      if (fd < 0) throw net::transport_error{"port probing failed"};
+      probes.push_back(fd);
+      n.port = bound_port(fd);
     }
-    n.port = ntohs(addr.sin_port);
-    probes.push_back(fd);
+    if (plan.workload.kind == workload_kind::socket &&
+        plan.workload.event_port_base == 0) {
+      plan.workload.event_port_base = free_port_range(
+          plan.ids_with(plan.protocol == "psc" ? node_role::psc_dc
+                                               : node_role::privcount_dc)
+              .size(),
+          probes);
+    }
+  } catch (...) {
+    release();
+    throw;
   }
-  for (const int fd : probes) ::close(fd);
+  release();
 }
 
 std::string run_reference_round(const deployment_plan& plan) {
@@ -121,10 +181,9 @@ std::string run_reference_round(const deployment_plan& plan) {
   const auto window = [&](std::uint32_t round_id) {
     return round_window_for(plan, sched, round_id - 1);
   };
-  // The reference round honors the plan's ingest-plane knobs too (one
-  // pool shared across every DC, like a node process shares its workers
-  // across shards) — bytes are knob-independent, but exercising the same
-  // path keeps the reference fast at 16-DC population scale.
+  // The reference round honors the plan's ingest pool too (one pool
+  // shared across every DC) — bytes are knob-independent, but exercising
+  // the same path keeps the reference fast at 16-DC population scale.
   const std::shared_ptr<util::thread_pool> ingest_pool =
       is_event_workload(plan) ? make_ingest_pool(plan) : nullptr;
   // One feed path for both protocols: each DC is a core::event_sink, each

@@ -28,8 +28,10 @@ struct distributed_round_result {
   std::vector<node_exit> nodes;
 };
 
-/// Assigns a free loopback port to every node whose port is 0 (binds
-/// ephemeral listeners, records the assigned ports, then releases them).
+/// Assigns a free loopback port to every node whose port is 0 and, for a
+/// socket workload whose event_port_base is 0, a base with one free port
+/// per DC (event_port_base + k). Every chosen port is bound until all are
+/// chosen, then released.
 void assign_free_ports(deployment_plan& plan);
 
 /// Runs the plan's round in-process over the deterministic inproc bus and

@@ -126,32 +126,28 @@ workload_cursor::workload_cursor(
   throw invariant_error{"unhandled workload kind"};
 }
 
-std::optional<tor::event> workload_cursor::fetch() {
-  if (failed_ || eof_) return std::nullopt;
+bool workload_cursor::fetch(tor::event& out) {
+  if (failed_ || eof_) return false;
   try {
     switch (kind_) {
-      case workload_kind::trace: {
-        std::optional<tor::event> ev = reader_->next();
-        if (!ev.has_value()) eof_ = true;
-        return ev;
-      }
+      case workload_kind::trace:
+        if (reader_->next(out)) return true;
+        break;
       case workload_kind::generate:
       case workload_kind::scenario:
       case workload_kind::relays: {
         const std::vector<tor::event>& slice = (*generated_)[dc_index_];
-        if (next_generated_ >= slice.size()) {
-          eof_ = true;
-          return std::nullopt;
+        if (next_generated_ < slice.size()) {
+          out = slice[next_generated_++];
+          return true;
         }
-        return slice[next_generated_++];
-      }
-      case workload_kind::socket: {
-        std::optional<tor::event> ev = socket_->next();
-        if (!ev.has_value()) eof_ = true;
-        return ev;
-      }
-      case workload_kind::synthetic:
         break;
+      }
+      case workload_kind::socket:
+        if (socket_->next(out)) return true;
+        break;
+      case workload_kind::synthetic:
+        throw invariant_error{"unhandled workload kind"};
     }
   } catch (const net::wire_error& e) {
     if (kind_ == workload_kind::socket) {
@@ -163,11 +159,12 @@ std::optional<tor::event> workload_cursor::fetch() {
       log_line{log_level::warn}
           << "DC " << dc_index_ << " event stream failed mid-round ("
           << e.what() << "); continuing without it";
-      return std::nullopt;
+      return false;
     }
     throw;
   }
-  throw invariant_error{"unhandled workload kind"};
+  eof_ = true;
+  return false;
 }
 
 void workload_cursor::pace_to(sim_time t) {
@@ -182,25 +179,24 @@ void workload_cursor::pace_to(sim_time t) {
 std::size_t workload_cursor::stream_window_paced(sim_time start, sim_time end,
                                                  const batch_sink& sink) {
   std::size_t delivered = 0;
+  tor::event ev;
   for (;;) {
-    std::optional<tor::event> ev;
     if (pending_.has_value()) {
-      ev = std::move(pending_);
+      ev = *std::move(pending_);
       pending_.reset();
-    } else {
-      ev = fetch();
+    } else if (!fetch(ev)) {
+      break;  // end of stream (or failed live stream)
     }
-    if (!ev.has_value()) break;  // end of stream (or failed live stream)
-    if (ev->at >= end) {
+    if (ev.at >= end) {
       pending_ = std::move(ev);  // first event of a later window: hold it
       break;
     }
-    pace_to(ev->at);
-    if (ev->at < start) {
+    pace_to(ev.at);
+    if (ev.at < start) {
       ++dropped_;  // inter-round gap: collection stays on, counting only
       continue;
     }
-    sink(&*ev, 1);
+    sink(&ev, 1);
     ++delivered;
   }
   return delivered;
@@ -210,21 +206,9 @@ std::size_t workload_cursor::stream_window(sim_time start, sim_time end,
                                            const batch_sink& sink) {
   if (pace_ > 0.0) return stream_window_paced(start, end, sink);
   std::size_t delivered = 0;
-  // Lookahead a previous (scalar or batched) window held back.
-  if (pending_.has_value()) {
-    if (pending_->at >= end) return 0;
-    const tor::event ev = *std::move(pending_);
-    pending_.reset();
-    if (ev.at < start) {
-      ++dropped_;
-    } else {
-      sink(&ev, 1);
-      ++delivered;
-    }
-  }
-  if ((kind_ == workload_kind::generate || kind_ == workload_kind::scenario ||
-       kind_ == workload_kind::relays) &&
-      !failed_ && !eof_) {
+  if (kind_ == workload_kind::generate || kind_ == workload_kind::scenario ||
+      kind_ == workload_kind::relays) {
+    if (eof_) return 0;
     // Fast path: generated slices are stably time-sorted (workload::
     // trace_gen), so the inter-round gap is a prefix, the window end is a
     // lower_bound, and the whole window is handed to the sink as one
@@ -253,31 +237,37 @@ std::size_t workload_cursor::stream_window(sim_time start, sim_time end,
     if (hi >= n) eof_ = true;
     return delivered;
   }
-  // Block path: fetch into a reused buffer and flush span-wise.
+  // Block path: decode straight into the reused block_ slots (each keeps
+  // its body alternative and string capacity across blocks and windows)
+  // and flush span-wise. A slot counts as filled only once its decode
+  // returned, so a decode that throws is never delivered.
   constexpr std::size_t k_block_events = 8192;
-  block_.reserve(k_block_events);
+  block_.resize(k_block_events);
   for (;;) {
-    block_.clear();
-    bool more = false;
-    while (block_.size() < k_block_events) {
-      std::optional<tor::event> ev = fetch();
-      if (!ev.has_value()) break;  // end of stream (or failed live stream)
-      if (ev->at >= end) {
-        pending_ = std::move(ev);  // first event of a later window: hold it
+    std::size_t filled = 0;
+    while (filled < k_block_events) {
+      tor::event& slot = block_[filled];
+      if (pending_.has_value()) {
+        slot = *std::move(pending_);  // lookahead a previous window held
+        pending_.reset();
+      } else if (!fetch(slot)) {
+        break;  // end of stream (or failed live stream)
+      }
+      if (slot.at >= end) {
+        pending_ = std::move(slot);  // first event of a later window: hold it
         break;
       }
-      if (ev->at < start) {
-        ++dropped_;
+      if (slot.at < start) {
+        ++dropped_;  // inter-round gap: collection stays on, counting only
         continue;
       }
-      block_.push_back(*std::move(ev));
-      more = block_.size() == k_block_events;
+      ++filled;
     }
-    if (!block_.empty()) {
-      sink(block_.data(), block_.size());
-      delivered += block_.size();
+    if (filled > 0) {
+      sink(block_.data(), filled);
+      delivered += filled;
     }
-    if (!more) return delivered;
+    if (filled < k_block_events) return delivered;
   }
 }
 
@@ -287,7 +277,8 @@ std::size_t workload_cursor::drain() {
     pending_.reset();
     ++consumed;
   }
-  while (fetch().has_value()) ++consumed;
+  tor::event scratch;
+  while (fetch(scratch)) ++consumed;
   dropped_ += consumed;
   return consumed;
 }

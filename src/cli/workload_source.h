@@ -120,8 +120,8 @@ class workload_cursor {
 
   /// Streams events with sim time in [start, end) into `sink` as
   /// contiguous spans — the one window-delivery API (a generated slice is
-  /// handed out zero-copy; file/socket sources are blocked through a
-  /// reused buffer). Returns the number of events delivered. Paced replay
+  /// handed out zero-copy; file/socket sources decode in place into
+  /// reused block slots). Returns the number of events delivered. Paced replay
   /// degrades to one-event spans: pacing sleeps between events by
   /// definition, so wider spans would only add latency.
   std::size_t stream_window(sim_time start, sim_time end,
@@ -139,7 +139,9 @@ class workload_cursor {
   [[nodiscard]] bool stream_failed() const noexcept { return failed_; }
 
  private:
-  [[nodiscard]] std::optional<tor::event> fetch();
+  /// Decodes (or copies) the next source event into `out`; false at end of
+  /// stream or once a live stream failed.
+  [[nodiscard]] bool fetch(tor::event& out);
   void pace_to(sim_time t);
   /// The per-event adapter behind paced replay: fetch, sleep to the
   /// event's sim time, deliver a one-event span.
@@ -156,19 +158,20 @@ class workload_cursor {
 
   std::unique_ptr<tor::trace_reader> reader_;               // kind == trace
   std::unique_ptr<tor::event_socket_source> socket_;        // kind == socket
-  std::vector<tor::event> block_;  // reused batch buffer (trace/socket)
+  std::vector<tor::event> block_;  // reused decode slots (trace/socket)
   std::shared_ptr<const std::vector<std::vector<tor::event>>> generated_;
   std::size_t dc_index_ = 0;
   std::size_t next_generated_ = 0;  // cursor into generated_[dc_index_]
 };
 
 /// Builds the plan's DC ingest worker pool: nullptr when
-/// plan.dc_ingest_threads == 0 (every shard runs on the calling thread).
+/// plan.dc_ingest_threads == 0 (all ingest runs on the calling thread).
 /// Callers feeding several DCs share one pool across them.
 [[nodiscard]] std::shared_ptr<util::thread_pool> make_ingest_pool(
     const deployment_plan& plan);
 
-/// Installs the plan's ingest-plane knobs (dc_shards, ingest pool) on any
+/// Installs the plan's ingest-plane knobs (the deprecated dc_shards, which
+/// sinks validate and ignore, and the ingest pool) on any
 /// event sink. A null pool leaves the sink's current pool untouched (the
 /// in-process PSC deployment wires its own).
 void configure_dc_ingest(const deployment_plan& plan, core::event_sink& dc,

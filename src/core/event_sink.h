@@ -10,15 +10,16 @@
 // Contract (shared by every implementation):
 //   * observe(ev) and ingest(span) are equivalent: ingesting a span is
 //     byte-identical to observing its events one by one.
-//   * set_shards / set_thread_pool are pure throughput knobs. Tally bytes
-//     never depend on the shard count, the worker count, or how the pool
-//     schedules shard work — PrivCount partitions are keyed by stable
-//     per-event hashes and merge by commutative slab addition; PSC keeps
-//     the last pre-drawn seed per bin (last-insert-wins seeded inserts).
+//   * set_thread_pool is a pure throughput knob. Tally bytes never depend
+//     on the worker count, on where spans are split, or on how the pool
+//     schedules the chunks — PrivCount splits each span contiguously into
+//     per-party slab rows that merge by commutative mod-2^64 addition;
+//     PSC keeps the last pre-drawn seed per bin (last-insert-wins seeded
+//     inserts). set_shards validates a deprecated value and changes
+//     nothing in either collector.
 //   * Ingest-plane reconfiguration is a between-rounds operation: while a
-//     round is active the implementation rejects (or defers to the next
-//     round's configure) any shard/pool change — see each collector's
-//     set_shards documentation.
+//     round is active the implementation rejects any shard/pool change —
+//     see each collector's set_thread_pool documentation.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +43,13 @@ class event_sink {
   /// observe() per event at a fraction of the cost.
   virtual void ingest(const tor::event* evs, std::size_t n) = 0;
 
-  /// Number of ingest shards (>= 1) events are hash-partitioned across.
+  /// Deprecated ingest shard count (>= 1): validated and stored, never
+  /// used — no collector partitions by shard.
   virtual void set_shards(std::size_t n) = 0;
   [[nodiscard]] virtual std::size_t shards() const noexcept = 0;
 
-  /// Worker pool the ingest shards run on (nullptr = all shards execute on
-  /// the calling thread). Output bytes are identical with and without a
+  /// Worker pool that shares each ingest span (nullptr = all ingest runs
+  /// on the calling thread). Output bytes are identical with and without a
   /// pool, for every pool size.
   virtual void set_thread_pool(std::shared_ptr<util::thread_pool> pool) = 0;
 

@@ -435,11 +435,6 @@ class batch_stream_taxonomy final : public privcount::batch_instrument {
     other_ = slot_of("streams/initial/hostname/other");
   }
 
-  void ingest(const tor::event* const* evs, std::size_t n,
-              std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(*evs[i], slab);
-  }
-
   void ingest_span(const tor::event* evs, std::size_t n,
                    std::uint64_t* slab) override {
     for (std::size_t i = 0; i < n; ++i) step(evs[i], slab);
@@ -477,11 +472,6 @@ class batch_entry_totals final : public privcount::batch_instrument {
     connections_ = slot_of("entry/connections");
     circuits_ = slot_of("entry/circuits");
     bytes_ = slot_of("entry/bytes");
-  }
-
-  void ingest(const tor::event* const* evs, std::size_t n,
-              std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(*evs[i], slab);
   }
 
   void ingest_span(const tor::event* evs, std::size_t n,

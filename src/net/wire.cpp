@@ -92,19 +92,25 @@ std::uint64_t wire_reader::read_varint() {
   }
 }
 
-byte_buffer wire_reader::read_bytes() {
+byte_view wire_reader::read_field() {
   const std::uint64_t len = read_varint();
   if (len > remaining()) throw wire_error{"byte field longer than input"};
-  byte_buffer out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return out;
+  const byte_view field = data_.subspan(pos_, static_cast<std::size_t>(len));
+  pos_ += static_cast<std::size_t>(len);
+  return field;
 }
 
-std::string wire_reader::read_string() {
-  const byte_buffer b = read_bytes();
-  return {b.begin(), b.end()};
+byte_buffer wire_reader::read_bytes() {
+  const byte_view field = read_field();
+  return {field.begin(), field.end()};
 }
+
+std::string_view wire_reader::read_string_view() {
+  const byte_view field = read_field();
+  return {reinterpret_cast<const char*>(field.data()), field.size()};
+}
+
+std::string wire_reader::read_string() { return std::string{read_string_view()}; }
 
 void wire_reader::expect_end() const {
   if (!at_end()) throw wire_error{"trailing bytes after message"};

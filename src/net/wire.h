@@ -60,6 +60,10 @@ class wire_reader {
   [[nodiscard]] std::uint64_t read_varint();
   [[nodiscard]] byte_buffer read_bytes();
   [[nodiscard]] std::string read_string();
+  /// The next string field as a view into the borrowed input (no copy):
+  /// valid only while that input is. In-place decoders assign it into a
+  /// reused string, keeping the string's capacity.
+  [[nodiscard]] std::string_view read_string_view();
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
@@ -71,6 +75,8 @@ class wire_reader {
 
  private:
   void require(std::size_t n) const;
+  /// A varint length and that many bytes, as a view into the input.
+  [[nodiscard]] byte_view read_field();
   byte_view data_;
   std::size_t pos_ = 0;
 };

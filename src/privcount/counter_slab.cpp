@@ -8,21 +8,15 @@ namespace tormet::privcount {
 
 namespace {
 
-// The adapter keeps no mutable state between calls: concurrent shard
-// workers run ingest() on the same instance with disjoint slabs, so each
-// increment resolves through slot_of_ directly (a read-only lookup into
-// the round's counter index) instead of a shared memo map.
+// The adapter keeps no mutable state between calls: concurrent ingest
+// parties run ingest_span() on the same instance with disjoint slab rows,
+// so each increment resolves through slot_of_ directly (a read-only lookup
+// into the round's counter index) instead of a shared memo map.
 class legacy_adapter final : public batch_instrument {
  public:
   explicit legacy_adapter(legacy_instrument fn) : fn_{std::move(fn)} {}
 
   void bind(const slot_resolver& slot_of) override { slot_of_ = slot_of; }
-
-  void ingest(const tor::event* const* evs, std::size_t n,
-              std::uint64_t* slab) override {
-    const auto incr = make_incr(slab);
-    for (std::size_t i = 0; i < n; ++i) fn_(*evs[i], incr);
-  }
 
   void ingest_span(const tor::event* evs, std::size_t n,
                    std::uint64_t* slab) override {
@@ -49,16 +43,17 @@ std::unique_ptr<batch_instrument> adapt_instrument(legacy_instrument fn) {
   return std::make_unique<legacy_adapter>(std::move(fn));
 }
 
-void merge_slabs(const std::vector<std::uint64_t>& slabs, std::size_t shards,
+void merge_slabs(const std::vector<std::uint64_t>& slabs, std::size_t rows,
                  std::size_t counters, const std::vector<std::uint64_t>& base,
                  std::vector<std::uint64_t>& out) {
   expects(base.size() == counters, "merge: one base value per counter");
-  const std::size_t stride = counters + 1;
-  expects(slabs.size() == shards * stride,
-          "merge: slabs must be shards x (counters + 1)");
+  expects(rows >= 1 && slabs.size() % rows == 0 &&
+              slabs.size() / rows > counters,
+          "merge: slabs must be rows x (counters + tail)");
+  const std::size_t stride = slabs.size() / rows;
   out = base;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::uint64_t* row = slabs.data() + s * stride;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = slabs.data() + r * stride;
     for (std::size_t i = 0; i < counters; ++i) out[i] += row[i];
   }
 }

@@ -1,11 +1,11 @@
-// Flat counter slabs for the sharded DC observe path. Each ingest shard
-// owns one contiguous row of uint64 increment slots — one per configured
-// counter plus a trailing trash slot that absorbs increments to names not
-// measured this round — and instruments are compiled against slot indices
-// once per round instead of doing a string lookup per increment. At report
-// time the rows merge by plain mod-2^64 addition onto the blinded base
-// values, so the reported bytes are independent of the shard count and of
-// how events were partitioned across shards.
+// Flat counter slabs for the DC ingest path. Each ingest party owns one
+// contiguous row of uint64 increment slots — one per configured counter,
+// then a trash slot that absorbs increments to names not measured this
+// round, then optional padding — and instruments are compiled against
+// slot indices once per round instead of doing a string lookup per
+// increment. At report time the rows merge by plain mod-2^64 addition onto
+// the blinded base values, so the reported bytes are independent of the
+// number of rows and of how the event stream was split across them.
 #pragma once
 
 #include <cstddef>
@@ -24,24 +24,15 @@ namespace tormet::privcount {
 using slot_resolver = std::function<std::size_t(const std::string&)>;
 
 /// An instrument compiled to direct slab increments: `bind` resolves its
-/// counter names to slots once per round, `ingest` then increments the
-/// given shard's slab for a batch of events with no per-event name lookup.
+/// counter names to slots once per round, `ingest_span` then increments one
+/// slab row for a contiguous span of events with no per-event name lookup.
+/// Concurrent calls on disjoint rows must be safe.
 class batch_instrument {
  public:
   virtual ~batch_instrument() = default;
   virtual void bind(const slot_resolver& slot_of) = 0;
-  virtual void ingest(const tor::event* const* evs, std::size_t n,
-                      std::uint64_t* slab) = 0;
-  /// Contiguous-span form: the single-shard hot path calls this directly so
-  /// no per-event pointer array is ever built. Overridden by the compiled
-  /// instruments; the base implementation delegates event by event.
   virtual void ingest_span(const tor::event* evs, std::size_t n,
-                           std::uint64_t* slab) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const tor::event* p = evs + i;
-      ingest(&p, 1, slab);
-    }
-  }
+                           std::uint64_t* slab) = 0;
 };
 
 /// The string-callback instrument shape (kept as the extension point for
@@ -57,13 +48,14 @@ using legacy_instrument = std::function<void(
 [[nodiscard]] std::unique_ptr<batch_instrument> adapt_instrument(
     legacy_instrument fn);
 
-/// Report-time merge: out[i] = base[i] + Σ over shards of
-/// slabs[s * (counters + 1) + i], mod 2^64, for i in [0, counters). The
-/// per-shard trash slot is dropped. Addition on the ring is commutative
-/// and associative, so the result is identical for every shard count and
-/// every partition of the same event stream — the property the
-/// shard-count-independence tests pin.
-void merge_slabs(const std::vector<std::uint64_t>& slabs, std::size_t shards,
+/// Report-time merge: out[i] = base[i] + Σ over rows of
+/// slabs[r * stride + i], mod 2^64, for i in [0, counters), where the row
+/// stride is slabs.size() / rows and must exceed `counters`; each row's
+/// tail (trash slot, padding) is dropped. Addition on the ring is
+/// commutative and associative, so the result is identical for every row
+/// count and every split of the same event stream — the property the
+/// worker/split matrix tests pin.
+void merge_slabs(const std::vector<std::uint64_t>& slabs, std::size_t rows,
                  std::size_t counters, const std::vector<std::uint64_t>& base,
                  std::vector<std::uint64_t>& out);
 

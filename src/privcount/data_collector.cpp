@@ -1,10 +1,10 @@
 #include "src/privcount/data_collector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/crypto/secret_sharing.h"
 #include "src/dp/noise.h"
-#include "src/tor/event_shard.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
@@ -27,21 +27,28 @@ void data_collector::add_instrument(std::unique_ptr<batch_instrument> ins) {
 void data_collector::set_shards(std::size_t n) {
   expects(n >= 1, "a DC needs at least one ingest shard");
   expects(!collecting_, "shard count is fixed while a round is collecting");
-  if (n == shards_) return;
   shards_ = n;
-  // Keep the slab layout in lockstep with the shard count. Between rounds
-  // the slabs are all zero (configure zeroes them, stop_collection wipes
-  // them), so re-sizing here loses nothing — it only prevents a stale
-  // stride if the shard count changes between configure and start.
-  if (!counter_names_.empty()) {
-    slabs_.assign(shards_ * (counter_names_.size() + 1), 0);
-  }
 }
 
 void data_collector::set_thread_pool(std::shared_ptr<util::thread_pool> pool) {
   expects(!collecting_, "ingest pool is fixed while a round is collecting");
   pool_ = std::move(pool);
+  // Keep one slab row per party. Between rounds the slabs are all zero
+  // (configure zeroes them, stop_collection wipes them), so re-sizing here
+  // loses nothing; it only keeps the layout right when the pool changes
+  // between configure and start.
+  if (!counter_names_.empty()) size_slabs();
 }
+
+std::size_t data_collector::rows() const noexcept {
+  return pool_ == nullptr ? 1 : pool_->size() + 1;
+}
+
+std::size_t data_collector::stride() const noexcept {
+  return counter_names_.size() + 1 + k_row_padding;
+}
+
+void data_collector::size_slabs() { slabs_.assign(rows() * stride(), 0); }
 
 void data_collector::on_configure(const configure_msg& m) {
   expects(m.sigmas.size() == m.counter_names.size(),
@@ -53,9 +60,7 @@ void data_collector::on_configure(const configure_msg& m) {
     counter_index_[counter_names_[i]] = i;
   }
   base_.assign(counter_names_.size(), 0);
-  // One slab row per shard, with a trailing trash slot absorbing
-  // increments to counters not measured this round.
-  slabs_.assign(shards_ * (counter_names_.size() + 1), 0);
+  size_slabs();
   collecting_ = false;
 
   // Compile every instrument against this round's slot layout (unknown
@@ -123,7 +128,7 @@ void data_collector::handle_message(const net::message& msg) {
       collecting_ = false;
       dc_report_msg report;
       report.round_id = round_id_;
-      merge_slabs(slabs_, shards_, counter_names_.size(), base_, report.values);
+      merge_slabs(slabs_, rows(), counter_names_.size(), base_, report.values);
       transport_.send(encode_dc_report(self_, tally_server_, report));
       // Forget the round's state: the report is blinded; keeping the base
       // and increments would weaken the "nothing to seize" property.
@@ -142,47 +147,25 @@ void data_collector::observe(const tor::event& ev) { ingest(&ev, 1); }
 void data_collector::ingest(const tor::event* evs, std::size_t n) {
   if (!collecting_ || n == 0) return;
   events_observed_ += n;
-  if (shards_ == 1) {
-    // Single shard: the contiguous span goes straight to the instruments —
-    // no shard keys, no pointer bucketing.
+  const auto run = [&](std::size_t begin, std::size_t end, std::uint64_t* row) {
     for (const auto& ins : instruments_) {
-      ins->ingest_span(evs, n, slabs_.data());
+      ins->ingest_span(evs + begin, end - begin, row);
     }
+  };
+  // One contiguous chunk per party (pool workers + the caller), each into
+  // its own slab row. Counters are mod-2^64 sums, so every split merges to
+  // the bytes of one serial pass; spans too short to pay for the hand-off
+  // stay on the caller.
+  const std::size_t chunks = std::min(rows(), n / k_min_chunk_events);
+  if (chunks <= 1) {
+    run(0, n, slabs_.data());
     return;
   }
-  buckets_.resize(shards_);
-  for (auto& b : buckets_) b.clear();
-  if (pool_ != nullptr) {
-    // One chunk of shards per party (workers + the calling thread). Each
-    // chunk scans the whole span, keeps only the events whose shard key
-    // lands in its range, and runs the instruments into its own slab rows.
-    // No two chunks touch the same bucket or slab row, so the output is
-    // byte-identical to the serial path for every worker count; the
-    // parallel_for return is the window-end merge barrier.
-    const std::size_t parties = pool_->size() + 1;
-    const std::size_t grain = (shards_ + parties - 1) / parties;
-    pool_->parallel_for(shards_, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = tor::shard_of(tor::shard_key_of(evs[i]), shards_);
-        if (s >= begin && s < end) buckets_[s].push_back(evs + i);
-      }
-      for (std::size_t s = begin; s < end; ++s) ingest_shard(s);
-    });
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = tor::shard_of(tor::shard_key_of(evs[i]), shards_);
-    buckets_[s].push_back(evs + i);
-  }
-  for (std::size_t s = 0; s < shards_; ++s) ingest_shard(s);
-}
-
-void data_collector::ingest_shard(std::size_t s) {
-  if (buckets_[s].empty()) return;
-  std::uint64_t* slab = slabs_.data() + s * (counter_names_.size() + 1);
-  for (const auto& ins : instruments_) {
-    ins->ingest(buckets_[s].data(), buckets_[s].size(), slab);
-  }
+  const std::size_t grain = (n + chunks - 1) / chunks;
+  const std::size_t row_slots = stride();
+  pool_->parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+    run(begin, end, slabs_.data() + begin / grain * row_slots);
+  });
 }
 
 }  // namespace tormet::privcount

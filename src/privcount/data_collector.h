@@ -3,11 +3,11 @@
 // per (counter, share keeper); the blinded base values start at
 // noise − Σ blinds (mod 2^64), so a seized DC reveals nothing (every proper
 // subset of {DC value, blinds} is uniformly random). Events increment flat
-// per-shard counter slabs during collection — the observe path is sharded
-// by client/circuit hash and optionally runs the shards on a worker pool,
-// each worker owning its shard's slab row exclusively — and the final
-// report merges base + slabs deterministically, so its bytes never depend
-// on the shard count or the worker count.
+// counter slabs during collection: ingest splits each span into contiguous
+// chunks, one per party (the ingest pool's workers plus the caller), and
+// each chunk runs every instrument into its own slab row. The final report
+// merges base + rows by mod-2^64 addition, so its bytes never depend on
+// the worker count or on where spans were split.
 #pragma once
 
 #include <cstdint>
@@ -42,18 +42,16 @@ class data_collector final : public core::event_sink {
   /// Registers a slot-compiled instrument (the fast path for hot counters).
   void add_instrument(std::unique_ptr<batch_instrument> ins);
 
-  /// Number of ingest shards (>= 1). A between-rounds operation: changing
-  /// it re-sizes the (all-zero) counter slabs immediately so the slab
-  /// layout and the shard count can never disagree, and is rejected while
-  /// a round is collecting. Tally bytes are identical for every value —
-  /// sharding buys locality and parallelism, not semantics.
+  /// Validated (>= 1, rejected while a round is collecting) and stored,
+  /// but ignored: ingest splits spans contiguously and has no shards. Kept
+  /// only for the core::event_sink interface and the dc_shards plan key.
   void set_shards(std::size_t n) override;
   [[nodiscard]] std::size_t shards() const noexcept override { return shards_; }
 
-  /// Worker pool the ingest shards run on (nullptr = calling thread only).
-  /// Each worker owns its shard's slab row exclusively and the merge order
-  /// is fixed, so report bytes are identical for every pool size. Rejected
-  /// while a round is collecting, like set_shards.
+  /// Worker pool that shares each ingest span (nullptr = calling thread
+  /// only). The slabs hold one row per party, re-sized (all zero) here
+  /// when the DC is configured. Report bytes are identical for every pool
+  /// size. Rejected while a round is collecting.
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool) override;
 
   /// Transport handler (register with the transport for `self`).
@@ -62,10 +60,11 @@ class data_collector final : public core::event_sink {
   /// Feeds one observed event (only counted while a round is collecting).
   void observe(const tor::event& ev) override;
 
-  /// Feeds a contiguous batch of observed events: partitions them across
-  /// the ingest shards and runs every instrument per shard over flat
-  /// slabs, one pool worker per shard when a pool is attached. Equivalent
-  /// to observe() per event, at a fraction of the cost.
+  /// Feeds a contiguous batch of observed events: splits it into one
+  /// contiguous chunk per party, each at least k_min_chunk_events long
+  /// (shorter spans stay whole on the caller), and runs every instrument
+  /// over each chunk into that party's slab row. Equivalent to observe()
+  /// per event, at a fraction of the cost.
   void ingest(const tor::event* evs, std::size_t n) override;
 
   [[nodiscard]] net::node_id id() const noexcept { return self_; }
@@ -78,9 +77,20 @@ class data_collector final : public core::event_sink {
   }
 
  private:
+  /// Smallest chunk a span is split into: below it the pool hand-off
+  /// costs more than the chunk's ingest saves.
+  static constexpr std::size_t k_min_chunk_events = 2048;
+  /// Zero slots between slab rows, so two parties' rows never share a
+  /// cache line.
+  static constexpr std::size_t k_row_padding = 8;
+
   void on_configure(const configure_msg& m);
-  /// Runs every instrument over shard `s`'s bucket into its slab row.
-  void ingest_shard(std::size_t s);
+  /// Slab rows: one per party (pool workers + the caller).
+  [[nodiscard]] std::size_t rows() const noexcept;
+  /// Slots per row: the counters, the trash slot, then the padding.
+  [[nodiscard]] std::size_t stride() const noexcept;
+  /// Zeroes the slabs at rows() x stride().
+  void size_slabs();
 
   net::node_id self_;
   net::node_id tally_server_;
@@ -92,10 +102,9 @@ class data_collector final : public core::event_sink {
   std::vector<std::string> counter_names_;
   std::unordered_map<std::string, std::size_t> counter_index_;
   std::vector<std::uint64_t> base_;   // blinded start values (noise − blinds)
-  std::vector<std::uint64_t> slabs_;  // shards_ rows of (counters + 1) slots
-  std::size_t shards_ = 1;
+  std::vector<std::uint64_t> slabs_;  // rows() rows of stride() slots
+  std::size_t shards_ = 1;           // validated, otherwise unused
   std::shared_ptr<util::thread_pool> pool_;  // ingest workers (may be null)
-  std::vector<std::vector<const tor::event*>> buckets_;  // ingest scratch
   bool collecting_ = false;
   std::uint64_t events_observed_ = 0;
 };

@@ -42,9 +42,9 @@ class data_collector final : public core::event_sink {
   /// is live (between dc_configure and the report): the ingest plane is
   /// reconfigured between rounds only.
   void set_thread_pool(std::shared_ptr<util::thread_pool> pool) override;
-  /// Validates and records the plan's ingest shard count (>= 1). PSC ingest
-  /// does not partition by shard, so the value never reaches the table.
-  /// Rejected while a table is live, like set_thread_pool.
+  /// Validates and records the deprecated dc_shards value (>= 1). PSC
+  /// ingest does not partition by shard, so the value never reaches the
+  /// table. Rejected while a table is live, like set_thread_pool.
   void set_shards(std::size_t n) override;
   [[nodiscard]] std::size_t shards() const noexcept override { return shards_; }
   void handle_message(const net::message& msg);

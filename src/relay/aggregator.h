@@ -1,7 +1,7 @@
 // The central aggregation service for relay publish directories (the
 // moneTor central.sh/combine.py shape): each collection epoch it scans
-// the directory, ingests every accepted window into the DC's sharded
-// ingest plane as contiguous spans (core::event_sink::ingest, never
+// the directory, ingests every accepted window into the DC's ingest
+// plane as contiguous spans (core::event_sink::ingest, never
 // per-event observe), deletes the consumed files, and accounts explicitly
 // for every fault the fleet can throw at it — missing publishers, windows
 // arriving late, duplicate publishes, and torn/corrupt files.

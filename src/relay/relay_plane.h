@@ -4,13 +4,13 @@
 // fleet (stable per-circuit hash, like every partition in the repo), each
 // event stamped with a DC-local sequence number; at the window boundary
 // every agent publishes its `.pub` file and the aggregator merges the
-// directory back into one ordered ingest span for the sharded DC plane.
+// directory back into one ordered ingest span for the DC.
 //
 //   cursor window ──route()──> N stats_agents (sample + accumulate)
 //                                   │ publish (atomic .pub per relay)
 //                              publish dir
 //                                   │ collect_epoch (scan/merge/delete)
-//                              core::event_sink (sharded DC ingest)
+//                              core::event_sink (DC ingest)
 //
 // The whole detour is deterministic: at sample_prob 1.0 the merged span
 // IS the cursor window (every event kept, order reconstructed), and at

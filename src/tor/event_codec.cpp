@@ -57,6 +57,14 @@ static_assert(std::variant_size_v<event_body> == k_max_body_tag + 1,
   return v;
 }
 
+/// The slot's body as alternative T: reused (string capacity included)
+/// when the slot already holds a T, freshly emplaced otherwise.
+template <typename T>
+[[nodiscard]] T& body_slot(event& slot) {
+  if (T* body = std::get_if<T>(&slot.body)) return *body;
+  return slot.body.emplace<T>();
+}
+
 }  // namespace
 
 void append_trace_header(byte_buffer& out) {
@@ -99,80 +107,78 @@ void encode_event(net::wire_writer& out, const event& ev) {
       ev.body);
 }
 
-event decode_event(net::wire_reader& in) {
-  event ev;
+void decode_event(net::wire_reader& in, event& out) {
   const std::uint64_t observer = in.read_varint();
   if (observer > std::numeric_limits<relay_id>::max()) {
     throw net::wire_error{"event decode: observer id out of range"};
   }
-  ev.observer = static_cast<relay_id>(observer);
-  ev.at.seconds = in.read_i64();
+  out.observer = static_cast<relay_id>(observer);
+  out.at.seconds = in.read_i64();
   const std::uint8_t tag = checked_enum(in, k_max_body_tag, "body tag");
+  // Every case writes every field of its body, so a reused alternative
+  // carries nothing over from the slot's previous event.
   switch (static_cast<body_tag>(tag)) {
     case body_tag::entry_connection: {
-      entry_connection_event b;
+      auto& b = body_slot<entry_connection_event>(out);
       b.client_ip = in.read_u32();
-      ev.body = b;
       break;
     }
     case body_tag::entry_circuit: {
-      entry_circuit_event b;
+      auto& b = body_slot<entry_circuit_event>(out);
       b.client_ip = in.read_u32();
       b.kind = static_cast<circuit_kind>(checked_enum(
           in, static_cast<std::uint8_t>(circuit_kind::rendezvous),
           "circuit kind"));
-      ev.body = b;
       break;
     }
     case body_tag::entry_data: {
-      entry_data_event b;
+      auto& b = body_slot<entry_data_event>(out);
       b.client_ip = in.read_u32();
       b.bytes = in.read_varint();
-      ev.body = b;
       break;
     }
     case body_tag::exit_stream: {
-      exit_stream_event b;
+      auto& b = body_slot<exit_stream_event>(out);
       b.kind = static_cast<address_kind>(checked_enum(
           in, static_cast<std::uint8_t>(address_kind::ipv6), "address kind"));
       b.is_initial = checked_enum(in, 1, "is_initial flag") == 1;
       b.port = in.read_u16();
-      b.target = in.read_string();
-      ev.body = std::move(b);
+      b.target.assign(in.read_string_view());
       break;
     }
     case body_tag::exit_data: {
-      exit_data_event b;
+      auto& b = body_slot<exit_data_event>(out);
       b.bytes = in.read_varint();
-      ev.body = b;
       break;
     }
     case body_tag::hsdir_publish: {
-      hsdir_publish_event b;
-      b.address.value = in.read_string();
-      ev.body = std::move(b);
+      auto& b = body_slot<hsdir_publish_event>(out);
+      b.address.value.assign(in.read_string_view());
       break;
     }
     case body_tag::hsdir_fetch: {
-      hsdir_fetch_event b;
-      b.address.value = in.read_string();
+      auto& b = body_slot<hsdir_fetch_event>(out);
+      b.address.value.assign(in.read_string_view());
       b.outcome = static_cast<fetch_outcome>(checked_enum(
           in, static_cast<std::uint8_t>(fetch_outcome::malformed),
           "fetch outcome"));
-      ev.body = std::move(b);
       break;
     }
     case body_tag::rend_circuit: {
-      rend_circuit_event b;
+      auto& b = body_slot<rend_circuit_event>(out);
       b.outcome = static_cast<rend_outcome>(checked_enum(
           in, static_cast<std::uint8_t>(rend_outcome::failed_expired),
           "rend outcome"));
       b.payload_cells = in.read_varint();
-      ev.body = b;
       break;
     }
   }
   in.expect_end();
+}
+
+event decode_event(net::wire_reader& in) {
+  event ev;
+  decode_event(in, ev);
   return ev;
 }
 
@@ -198,8 +204,13 @@ void event_decoder::feed(byte_view chunk) {
 }
 
 std::optional<event> event_decoder::next() {
+  if (event ev; next(ev)) return ev;
+  return std::nullopt;
+}
+
+bool event_decoder::next(event& out) {
   if (!saw_header_) {
-    if (buf_.size() - pos_ < k_trace_header_bytes) return std::nullopt;
+    if (buf_.size() - pos_ < k_trace_header_bytes) return false;
     if (!std::equal(k_magic.begin(), k_magic.end(), buf_.begin() + pos_)) {
       throw net::wire_error{"trace stream: bad magic"};
     }
@@ -221,7 +232,7 @@ std::optional<event> event_decoder::next() {
     // instead of throwing on truncation.
     int shift = 0;
     for (;;) {
-      if (prefix_bytes >= avail.size()) return std::nullopt;  // need more
+      if (prefix_bytes >= avail.size()) return false;  // need more
       const std::uint8_t byte = avail[prefix_bytes++];
       if (shift >= 63 && (byte & 0x7f) > 1) {
         throw net::wire_error{"trace stream: varint length overflow"};
@@ -238,13 +249,13 @@ std::optional<event> event_decoder::next() {
     throw net::wire_error{"trace stream: record length " + std::to_string(len) +
                           " exceeds cap"};
   }
-  if (avail.size() - prefix_bytes < len) return std::nullopt;  // need more
+  if (avail.size() - prefix_bytes < len) return false;  // need more
 
   net::wire_reader payload{
       byte_view{avail.data() + prefix_bytes, static_cast<std::size_t>(len)}};
-  event ev = decode_event(payload);
+  decode_event(payload, out);
   pos_ += prefix_bytes + static_cast<std::size_t>(len);
-  return ev;
+  return true;
 }
 
 }  // namespace tormet::tor

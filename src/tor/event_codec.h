@@ -39,9 +39,16 @@ void append_trace_header(byte_buffer& out);
 /// Encodes the event payload (no length prefix) into `out`.
 void encode_event(net::wire_writer& out, const event& ev);
 
-/// Decodes one event payload and requires the reader to be fully consumed.
-/// Throws net::wire_error on truncation, unknown body tags, out-of-range
-/// enum values, or trailing bytes.
+/// Decodes one event payload into `out`, in place, and requires the reader
+/// to be fully consumed. When `out` already holds the decoded body
+/// alternative it is reused, string capacity included, so a caller-owned
+/// slot decodes a stream without a heap allocation per event. Throws
+/// net::wire_error on truncation, unknown body tags, out-of-range enum
+/// values, or trailing bytes; `out` is then partly written and must not be
+/// used as an event.
+void decode_event(net::wire_reader& in, event& out);
+
+/// Decodes one event payload into a fresh event (wraps the in-place form).
 [[nodiscard]] event decode_event(net::wire_reader& in);
 
 /// Appends one length-prefixed record (varint payload length + payload).
@@ -55,9 +62,14 @@ class event_decoder {
  public:
   void feed(byte_view chunk);
 
-  /// Next complete event, or nullopt when more bytes are needed. Throws
-  /// net::wire_error on a malformed header, oversized record, or corrupt
-  /// payload.
+  /// Decodes the next complete event into `out` in place and returns true,
+  /// or returns false (leaving `out` untouched) when more bytes are needed.
+  /// Throws net::wire_error on a malformed header, oversized record, or
+  /// corrupt payload; the record is then not consumed and `out` must not be
+  /// delivered.
+  [[nodiscard]] bool next(event& out);
+  /// Next complete event, or nullopt when more bytes are needed (wraps the
+  /// in-place form).
   [[nodiscard]] std::optional<event> next();
 
   /// True when every fed byte has been consumed — the only clean place for

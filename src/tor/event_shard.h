@@ -1,12 +1,11 @@
-// Hash partitioning of measurement events across DC ingest shards. A
-// sharded data collector buckets each observed event by a stable per-event
-// key — the client identity when the event carries one, the stream target
-// or onion address otherwise — so all events of one client (or one
-// circuit's streams) land on the same shard. Only the PrivCount DC
-// partitions by shard; its counter slabs merge by commutative addition,
-// so tally bytes are identical for every shard count. The partition only
-// buys cache locality and parallelism. Relay sampling and routing use
-// shard_key_of too.
+// Stable per-event keys and hash partitioning. shard_key_of names an
+// event's identity — the client when the event carries one, the stream
+// target or onion address otherwise — so all events of one client (or one
+// circuit's streams) map to the same partition. Relay routing
+// (src/relay/relay_plane.cpp, shard_of over the fleet) is the only
+// partitioner; relay sampling (src/relay/stats_agent.h) hashes the same
+// keys. No data collector partitions by shard: PrivCount splits spans
+// contiguously and PSC dedupes them by bin.
 #pragma once
 
 #include <cstddef>

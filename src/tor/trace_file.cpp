@@ -66,22 +66,26 @@ trace_reader::~trace_reader() {
 }
 
 std::optional<event> trace_reader::next() {
+  if (event ev; next(ev)) return ev;
+  return std::nullopt;
+}
+
+bool trace_reader::next(event& out) {
   for (;;) {
-    std::optional<event> ev = decoder_.next();
-    if (ev.has_value()) {
-      if (saw_event_ && ev->at.seconds < last_seconds_) {
+    if (decoder_.next(out)) {
+      if (saw_event_ && out.at.seconds < last_seconds_) {
         throw net::wire_error{"trace file: timestamp regression"};
       }
       saw_event_ = true;
-      last_seconds_ = ev->at.seconds;
+      last_seconds_ = out.at.seconds;
       ++count_;
-      return ev;
+      return true;
     }
     if (eof_) {
       if (!decoder_.at_record_boundary()) {
         throw net::wire_error{"trace file: truncated (ends mid-record)"};
       }
-      return std::nullopt;
+      return false;
     }
     std::uint8_t chunk[k_chunk_bytes];
     const std::size_t n = std::fread(chunk, 1, sizeof chunk, file_);

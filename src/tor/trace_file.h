@@ -58,9 +58,14 @@ class trace_reader {
   trace_reader(const trace_reader&) = delete;
   trace_reader& operator=(const trace_reader&) = delete;
 
-  /// Next event, or nullopt at clean end of stream. Throws net::wire_error
-  /// on corrupt records, a timestamp regression, or a file that ends inside
-  /// a record (truncation).
+  /// Decodes the next event into `out` in place (see tor::decode_event)
+  /// and returns true, or returns false at clean end of stream. Throws
+  /// net::wire_error on corrupt records, a timestamp regression, a file
+  /// that ends inside a record (truncation), or a read error; `out` must
+  /// then not be delivered.
+  [[nodiscard]] bool next(event& out);
+  /// Next event, or nullopt at clean end of stream (wraps the in-place
+  /// form).
   [[nodiscard]] std::optional<event> next();
 
   [[nodiscard]] std::size_t events_read() const noexcept { return count_; }

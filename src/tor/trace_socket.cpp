@@ -93,6 +93,11 @@ event_socket_source::~event_socket_source() {
 }
 
 std::optional<event> event_socket_source::next() {
+  if (event ev; next(ev)) return ev;
+  return std::nullopt;
+}
+
+bool event_socket_source::next(event& out) {
   if (conn_fd_ < 0) {
     if (timeout_ms_ > 0) {
       pollfd waiter{listen_fd_, POLLIN, 0};
@@ -116,13 +121,12 @@ std::optional<event> event_socket_source::next() {
     }
   }
   for (;;) {
-    std::optional<event> ev = decoder_.next();
-    if (ev.has_value()) return ev;
+    if (decoder_.next(out)) return true;
     if (eof_) {
       if (!decoder_.at_record_boundary()) {
         throw net::wire_error{"event socket: stream ended mid-record"};
       }
-      return std::nullopt;
+      return false;
     }
     std::uint8_t chunk[k_chunk_bytes];
     const ssize_t n = ::recv(conn_fd_, chunk, sizeof chunk, 0);

@@ -32,9 +32,14 @@ class event_socket_source {
   event_socket_source(const event_socket_source&) = delete;
   event_socket_source& operator=(const event_socket_source&) = delete;
 
-  /// Next event, or nullopt once the feeder closed the stream cleanly.
-  /// Throws net::wire_error on corrupt input or a stream that ends
-  /// mid-record.
+  /// Decodes the next event into `out` in place (see tor::decode_event)
+  /// and returns true, or returns false once the feeder closed the stream
+  /// cleanly. Throws net::wire_error on corrupt input, a stream that ends
+  /// mid-record, a recv failure or a stall past the timeout; `out` must
+  /// then not be delivered.
+  [[nodiscard]] bool next(event& out);
+  /// Next event, or nullopt once the feeder closed the stream cleanly
+  /// (wraps the in-place form).
   [[nodiscard]] std::optional<event> next();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }

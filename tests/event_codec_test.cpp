@@ -117,6 +117,94 @@ TEST(EventCodecTest, EveryVariantRoundTrips) {
   }
 }
 
+/// A stream over all 8 body kinds in random order, so consecutive events
+/// switch body alternatives, plus a long exit-stream target followed by a
+/// short one (a reused slot must shrink, not keep the old tail).
+[[nodiscard]] std::vector<event> mixed_kind_events() {
+  std::vector<event> events = sample_events();
+  events.push_back({9, sim_time{10},
+                    exit_stream_event{address_kind::hostname, true, 443,
+                                      std::string(300, 'x') + ".example"}});
+  events.push_back(
+      {9, sim_time{10}, exit_stream_event{address_kind::ipv6, false, 8, "a"}});
+  events.push_back({13, sim_time{11},
+                    hsdir_fetch_event{onion_address{std::string(40, 'o')},
+                                      fetch_outcome::success}});
+  events.push_back(
+      {13, sim_time{11}, hsdir_publish_event{onion_address{"p.onion"}}});
+  rng r{77};
+  for (std::int64_t t = 12; t < 1'500; ++t) {
+    const std::string name(r.below(40), static_cast<char>('a' + r.below(26)));
+    const auto relay = static_cast<relay_id>(r.below(1000));
+    const auto ip = static_cast<std::uint32_t>(r.next());
+    switch (r.below(8)) {
+      case 0:
+        events.push_back({relay, sim_time{t}, entry_connection_event{ip}});
+        break;
+      case 1:
+        events.push_back(
+            {relay, sim_time{t}, entry_circuit_event{ip, circuit_kind::intro}});
+        break;
+      case 2:
+        events.push_back({relay, sim_time{t}, entry_data_event{ip, r.next()}});
+        break;
+      case 3:
+        events.push_back({relay, sim_time{t},
+                          exit_stream_event{address_kind::ipv4, r.bernoulli(0.5),
+                                            static_cast<std::uint16_t>(ip),
+                                            name}});
+        break;
+      case 4:
+        events.push_back({relay, sim_time{t}, exit_data_event{r.next()}});
+        break;
+      case 5:
+        events.push_back(
+            {relay, sim_time{t}, hsdir_publish_event{onion_address{name}}});
+        break;
+      case 6:
+        events.push_back({relay, sim_time{t},
+                          hsdir_fetch_event{onion_address{name},
+                                            fetch_outcome::not_found}});
+        break;
+      default:
+        events.push_back({relay, sim_time{t},
+                          rend_circuit_event{rend_outcome::failed_conn_closed,
+                                             r.below(100)}});
+        break;
+    }
+  }
+  return events;
+}
+
+TEST(EventCodecTest, ReusedSlotDecodesEqualFreshDecodes) {
+  const std::vector<event> events = mixed_kind_events();
+  // Record by record: one slot reused for every payload.
+  event slot;
+  for (const event& ev : events) {
+    net::wire_writer out;
+    encode_event(out, ev);
+    net::wire_reader in_place{out.data()};
+    decode_event(in_place, slot);
+    net::wire_reader fresh{out.data()};
+    expect_equal(slot, decode_event(fresh));
+    expect_equal(slot, ev);
+  }
+  // Through the incremental decoder, fed in odd chunks.
+  const byte_buffer stream = encode_stream(events);
+  event_decoder decoder;
+  std::size_t i = 0;
+  for (std::size_t off = 0; off < stream.size(); off += 97) {
+    decoder.feed(byte_view{stream.data() + off,
+                           std::min<std::size_t>(97, stream.size() - off)});
+    while (decoder.next(slot)) {
+      ASSERT_LT(i, events.size());
+      expect_equal(slot, events[i++]);
+    }
+  }
+  EXPECT_EQ(i, events.size());
+  EXPECT_TRUE(decoder.at_record_boundary());
+}
+
 TEST(EventCodecTest, DecoderHandlesArbitraryChunkBoundaries) {
   const std::vector<event> events = sample_events();
   const byte_buffer stream = encode_stream(events);

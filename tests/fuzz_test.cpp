@@ -4,14 +4,22 @@
 // corruptions of valid messages.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "src/cli/deployment_plan.h"
+#include "src/cli/workload_source.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/secure_rng.h"
 #include "src/net/wire.h"
@@ -20,7 +28,9 @@
 #include "src/psc/messages.h"
 #include "src/psc/oblivious_set.h"
 #include "src/tor/consensus_doc.h"
+#include "src/tor/event_codec.h"
 #include "src/tor/event_shard.h"
+#include "src/tor/trace_file.h"
 #include "src/util/check.h"
 #include "src/util/op_log.h"
 #include "src/util/rng.h"
@@ -742,6 +752,214 @@ TEST(FuzzTest, ElgamalCiphertextDecodeBounds) {
     byte_buffer junk(len);
     for (auto& b : junk) b = static_cast<std::uint8_t>(r.below(256));
     expect_graceful([&] { (void)scheme.decode(junk); });
+  }
+}
+
+// -- in-place event decode ---------------------------------------------------
+
+/// Events of every body kind at strictly increasing times, some with long
+/// strings, so a reused slot keeps switching alternatives and capacities.
+[[nodiscard]] std::vector<tor::event> decode_fuzz_events(std::size_t n) {
+  rng r{99};
+  std::vector<tor::event> events;
+  events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tor::event ev = make_shard_event(r.next(), r.below(1u << 20));
+    ev.at = sim_time{static_cast<std::int64_t>(i)};
+    if (auto* s = std::get_if<tor::exit_stream_event>(&ev.body)) {
+      s->target += std::string(r.below(120), 'z');
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+[[nodiscard]] byte_buffer encode_records(const std::vector<tor::event>& events,
+                                         bool header) {
+  byte_buffer out;
+  if (header) tor::append_trace_header(out);
+  for (const tor::event& ev : events) tor::append_event_record(out, ev);
+  return out;
+}
+
+/// Flips 1-4 random bytes of `stream`, and truncates it 30% of the time.
+[[nodiscard]] byte_buffer mutate_stream(byte_buffer stream, rng& r) {
+  const std::size_t flips = 1 + r.below(4);
+  for (std::size_t i = 0; i < flips; ++i) {
+    stream[r.below(stream.size())] ^= static_cast<std::uint8_t>(1 + r.below(255));
+  }
+  if (r.bernoulli(0.3)) stream.resize(1 + r.below(stream.size()));
+  return stream;
+}
+
+/// The oracle: `stream` decoded into a fresh event per record, up to its
+/// first error (a timestamp regression counts as one when
+/// `time_ordered`), stopping before the first event at or past `end`.
+struct fresh_decode {
+  std::vector<tor::event> events;
+  bool clean = false;  // ended at a record boundary without an error
+};
+[[nodiscard]] fresh_decode decode_fresh(const byte_buffer& stream,
+                                        bool time_ordered, sim_time end) {
+  fresh_decode out;
+  tor::event_decoder decoder;
+  decoder.feed(stream);
+  try {
+    while (std::optional<tor::event> ev = decoder.next()) {
+      if (time_ordered && !out.events.empty() &&
+          ev->at < out.events.back().at) {
+        return out;
+      }
+      if (ev->at >= end) return out;
+      out.events.push_back(*std::move(ev));
+    }
+    out.clean = decoder.at_record_boundary();
+  } catch (const net::wire_error&) {
+  }
+  return out;
+}
+
+TEST(FuzzTest, InPlaceDecodeOfMutatedStreamsThrowsOnlyWireError) {
+  // One slot reused across a whole mutated stream, fed in random chunks:
+  // the only exception allowed is wire_error (anything else escapes and
+  // fails the test), and every event decoded before it equals the
+  // fresh-event decode of the same bytes.
+  const byte_buffer stream = encode_records(decode_fuzz_events(400), true);
+  constexpr sim_time k_never{std::numeric_limits<std::int64_t>::max()};
+  rng r{4711};
+  for (int trial = 0; trial < 400; ++trial) {
+    const byte_buffer fuzzed = mutate_stream(stream, r);
+    const fresh_decode want = decode_fresh(fuzzed, false, k_never);
+    tor::event_decoder decoder;
+    tor::event slot;
+    std::vector<tor::event> got;
+    bool done = false;
+    try {
+      for (std::size_t off = 0; off < fuzzed.size() && !done;) {
+        const std::size_t k =
+            std::min<std::size_t>(1 + r.below(300), fuzzed.size() - off);
+        decoder.feed(byte_view{fuzzed.data() + off, k});
+        off += k;
+        while (!done && decoder.next(slot)) {
+          done = slot.at >= k_never;
+          if (!done) got.push_back(slot);
+        }
+      }
+    } catch (const net::wire_error&) {
+    }
+    ASSERT_EQ(encode_records(got, false), encode_records(want.events, false))
+        << "trial " << trial;
+  }
+}
+
+/// A loopback port that is free right now (bind 0, read it back, release).
+[[nodiscard]] std::uint16_t free_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  expects(fd >= 0, "socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  expects(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+              ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
+          "port probe failed");
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
+/// Connects to 127.0.0.1:`port` (retrying while the listener comes up) and
+/// sends `bytes` verbatim, then closes: a feeder of arbitrary garbage.
+void send_raw(std::uint16_t port, const byte_buffer& bytes) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+        0) {
+      std::size_t sent = 0;
+      while (sent < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) break;
+        sent += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+      return;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+  }
+}
+
+TEST(FuzzTest, CursorNeverDeliversASlotWhoseDecodeThrew) {
+  // Mutated streams long enough to span several cursor blocks. A trace
+  // file that turns corrupt throws out of stream_window after delivering
+  // only events the fresh decode also yields; a socket stream that turns
+  // corrupt marks the cursor failed and delivers exactly the events before
+  // the bad record — never the partly written slot.
+  const byte_buffer stream = encode_records(decode_fuzz_events(20'000), true);
+  constexpr sim_time k_begin{std::numeric_limits<std::int64_t>::min()};
+  constexpr sim_time k_end{std::numeric_limits<std::int64_t>::max()};
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tormet-cursor-fuzz-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  struct remove_on_exit {
+    std::filesystem::path path;
+    ~remove_on_exit() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } const cleanup{dir};
+  rng r{8080};
+  for (int trial = 0; trial < 40; ++trial) {
+    const byte_buffer fuzzed = mutate_stream(stream, r);
+    const bool socket = trial % 4 == 3;
+    const fresh_decode want = decode_fresh(fuzzed, !socket, k_end);
+
+    cli::deployment_plan plan;
+    plan.round_deadline_ms = 10'000;
+    std::thread feeder;
+    if (socket) {
+      plan.workload.kind = cli::workload_kind::socket;
+      plan.workload.event_port_base = free_port();
+    } else {
+      plan.workload.kind = cli::workload_kind::trace;
+      plan.workload.trace_dir = dir.string();
+      spit((dir / tor::trace_file_name(0)).string(),
+           std::string{fuzzed.begin(), fuzzed.end()});
+    }
+    cli::workload_cursor cursor{plan, 0};
+    if (socket) {
+      feeder = std::thread{send_raw, plan.workload.event_port_base,
+                           std::cref(fuzzed)};
+    }
+    std::vector<tor::event> got;
+    bool threw = false;
+    try {
+      cursor.stream_window(k_begin, k_end,
+                           [&](const tor::event* evs, std::size_t n) {
+                             got.insert(got.end(), evs, evs + n);
+                           });
+    } catch (const net::wire_error&) {
+      threw = true;
+    }
+    if (feeder.joinable()) feeder.join();
+    ASSERT_LE(got.size(), want.events.size()) << "trial " << trial;
+    const std::vector<tor::event> prefix(
+        want.events.begin(),
+        want.events.begin() + static_cast<std::ptrdiff_t>(got.size()));
+    ASSERT_EQ(encode_records(got, false), encode_records(prefix, false))
+        << "trial " << trial;
+    if (socket || !threw) {
+      EXPECT_EQ(got.size(), want.events.size()) << "trial " << trial;
+    }
+    if (socket) {
+      (void)cursor.drain();
+      EXPECT_EQ(cursor.stream_failed(), !want.clean) << "trial " << trial;
+    }
   }
 }
 

@@ -1,14 +1,14 @@
 // Parallel-ingest tests: the differential matrices the event_sink contract
 // promises — a DC's report bytes are a function of the event stream alone,
-// never of how the stream was partitioned or which pool workers executed
-// it. PrivCount runs {shards} x {workers}; PSC, whose ingest dedupes each
-// span by bin, runs {workers} x {span splits} plus the dedupe edge cases
-// (one repeated item, items colliding in one bin, consecutive calls). The
+// never of how the stream was split into spans or which pool workers
+// executed it. Both protocols run {workers} x {span splits}: PrivCount
+// splits each span contiguously across the parties into per-party slab
+// rows; PSC dedupes each span by bin (plus the dedupe edge cases: one
+// repeated item, items colliding in one bin, consecutive calls). The
 // baseline for every combination is the strictest one: observe() per
-// event through the polymorphic core::event_sink surface, serial, single
-// shard. Also pins the between-rounds-only reconfiguration guard in both
-// protocols and soaks the threaded path (the ASan/TSan CI legs run this
-// binary).
+// event through the polymorphic core::event_sink surface, serial. Also
+// pins the between-rounds-only reconfiguration guard in both protocols and
+// soaks the threaded path (the ASan/TSan CI legs run this binary).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,44 +54,15 @@ namespace {
   return workload::generate_trace_events(params).front();
 }
 
-[[nodiscard]] std::vector<std::size_t> shard_matrix() {
-  return {1, 2, 8,
-          std::max<std::size_t>(1, std::thread::hardware_concurrency())};
-}
-
-/// Worker counts per the issue's matrix; 0 is the serial no-pool baseline
-/// axis value exercised by the reference run itself.
-[[nodiscard]] std::vector<std::size_t> worker_matrix() { return {1, 2, 4}; }
-
 // -- PrivCount ---------------------------------------------------------------
 
-/// Runs one PrivCount collection round over `events` with the given ingest
-/// plane and returns the blinded report's wire payload. `chunk` == 0 feeds
-/// through observe() per event via the core::event_sink interface; any
-/// other value feeds ingest() spans of that size. A fixed rng seed makes
-/// noise + blinding identical across calls, so the payloads are comparable
-/// byte for byte.
-[[nodiscard]] std::vector<std::uint8_t> privcount_report_bytes(
-    const std::vector<tor::event>& events, std::size_t shards,
-    std::size_t workers, std::size_t chunk) {
-  net::inproc_net bus;
-  std::vector<std::uint8_t> report;
-  bus.register_node(0, [&](const net::message& m) {
-    if (m.type == static_cast<std::uint16_t>(privcount::msg_type::dc_report)) {
-      report = m.payload;
-    }
-  });
-  crypto::deterministic_rng rng{4242};
-  privcount::data_collector dc{1, 0, bus, rng};
-  // One compiled instrument and one string-callback instrument: the
-  // adapter must be just as safe under concurrent shard workers.
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
-  dc.set_shards(shards);
-  if (workers > 0) {
-    dc.set_thread_pool(std::make_shared<util::thread_pool>(workers));
-  }
+/// Which form of the stream_taxonomy and entry_totals instruments a DC
+/// runs: the slot-compiled batch form or the string-callback closure form
+/// behind the legacy adapter. Both emit the same increments.
+enum class instrument_form { compiled, closure };
 
+/// The configure message for the two instruments' default counters.
+[[nodiscard]] privcount::configure_msg privcount_configure() {
   privcount::configure_msg cfg;
   cfg.round_id = 1;
   for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
@@ -100,7 +72,47 @@ namespace {
     }
   }
   cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
+  return cfg;
+}
+
+void add_privcount_instruments(privcount::data_collector& dc,
+                               instrument_form form) {
+  for (const auto& name : {"stream_taxonomy", "entry_totals"}) {
+    if (form == instrument_form::compiled) {
+      dc.add_instrument(core::make_batch_instrument(name));
+    } else {
+      dc.add_instrument(core::instrument_by_name(name));
+    }
+  }
+}
+
+/// Runs one PrivCount collection round over `events` and returns the
+/// blinded report's wire payload. `workers` == 0 attaches no pool;
+/// `before_start` (if set) runs between configure and start_collection.
+/// `chunk` == 0 feeds through observe() per event via the core::event_sink
+/// interface; any other value feeds ingest() spans of that size. A fixed
+/// rng seed makes noise + blinding identical across calls, so the payloads
+/// are comparable byte for byte.
+[[nodiscard]] std::vector<std::uint8_t> privcount_report_bytes(
+    const std::vector<tor::event>& events, std::size_t workers,
+    std::size_t chunk, instrument_form form = instrument_form::closure,
+    const std::function<void(privcount::data_collector&)>& before_start =
+        nullptr) {
+  net::inproc_net bus;
+  std::vector<std::uint8_t> report;
+  bus.register_node(0, [&](const net::message& m) {
+    if (m.type == static_cast<std::uint16_t>(privcount::msg_type::dc_report)) {
+      report = m.payload;
+    }
+  });
+  crypto::deterministic_rng rng{4242};
+  privcount::data_collector dc{1, 0, bus, rng};
+  add_privcount_instruments(dc, form);
+  if (workers > 0) {
+    dc.set_thread_pool(std::make_shared<util::thread_pool>(workers));
+  }
+  dc.handle_message(privcount::encode_configure(0, 1, privcount_configure()));
+  if (before_start != nullptr) before_start(dc);
   dc.handle_message(
       privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
 
@@ -121,69 +133,50 @@ namespace {
   return report;
 }
 
-TEST(ParallelIngestTest, PrivcountShardWorkerMatrixIsByteIdentical) {
+TEST(ParallelIngestTest, PrivcountWorkerSplitMatrixIsByteIdentical) {
   const std::vector<tor::event> events = zipf_events(20'000, 17);
   // Strictest baseline: per-event observe() through the event_sink
-  // interface, one shard, no pool.
+  // interface, closure instruments, no pool.
   const std::vector<std::uint8_t> reference =
-      privcount_report_bytes(events, 1, 0, 0);
-  for (const std::size_t shards : shard_matrix()) {
-    for (const std::size_t workers : worker_matrix()) {
-      EXPECT_EQ(privcount_report_bytes(events, shards, workers, 4096),
-                reference)
-          << "report diverged at " << shards << " shards x " << workers
-          << " workers";
+      privcount_report_bytes(events, 0, 0);
+  // Spans of 1 and 7 stay on the caller; 8191 and the whole stream split
+  // across the parties at chunk edges that fall anywhere.
+  for (const instrument_form form :
+       {instrument_form::compiled, instrument_form::closure}) {
+    for (const std::size_t workers : {0, 1, 2, 4}) {
+      for (const std::size_t split : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{8191}, events.size()}) {
+        EXPECT_EQ(privcount_report_bytes(events, workers, split, form),
+                  reference)
+            << "report diverged at " << workers << " workers, span " << split
+            << (form == instrument_form::compiled ? ", compiled"
+                                                  : ", closure");
+      }
     }
-    // Serial sharded path stays pinned too (no pool attached).
-    EXPECT_EQ(privcount_report_bytes(events, shards, 0, 4096), reference)
-        << "serial report diverged at " << shards << " shards";
   }
-  // Span boundaries are invisible: odd chunk sizes cannot change bytes.
-  EXPECT_EQ(privcount_report_bytes(events, 8, 4, 777), reference);
 }
 
-TEST(ParallelIngestTest, PrivcountShardChangeBetweenConfigureAndStartIsSafe) {
-  // Regression: set_shards between configure (which sizes the slabs) and
-  // start_collection used to leave the slab stride stale — increments for
-  // shard s >= 1 landed out of bounds. The re-size on set_shards makes the
-  // late change equivalent to having configured with that count.
-  const std::vector<tor::event> events = zipf_events(5'000, 23);
+TEST(ParallelIngestTest, PrivcountPoolChangeBetweenConfigureAndStartIsSafe) {
+  // configure sizes the slabs to one row per party; a pool attached,
+  // replaced or removed before start_collection must re-size them, or
+  // chunks would index rows that do not exist (or leave rows unmerged).
+  const std::vector<tor::event> events = zipf_events(20'000, 23);
   const std::vector<std::uint8_t> reference =
-      privcount_report_bytes(events, 8, 2, 1024);
-
-  net::inproc_net bus;
-  std::vector<std::uint8_t> report;
-  bus.register_node(0, [&](const net::message& m) {
-    if (m.type == static_cast<std::uint16_t>(privcount::msg_type::dc_report)) {
-      report = m.payload;
-    }
-  });
-  crypto::deterministic_rng rng{4242};
-  privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
-  dc.set_shards(2);
-  dc.set_thread_pool(std::make_shared<util::thread_pool>(2));
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
-    for (const auto& spec : core::default_specs_for(instrument)) {
-      cfg.counter_names.push_back(spec.name);
-      cfg.sigmas.push_back(1.5);
+      privcount_report_bytes(events, 0, 0);
+  for (const std::size_t before : {0, 1, 4}) {
+    for (const std::size_t after : {0, 2, 4}) {
+      if (before == after) continue;
+      const auto change = [after](privcount::data_collector& dc) {
+        dc.set_thread_pool(after == 0
+                               ? nullptr
+                               : std::make_shared<util::thread_pool>(after));
+      };
+      EXPECT_EQ(privcount_report_bytes(events, before, events.size(),
+                                       instrument_form::compiled, change),
+                reference)
+          << "pool " << before << " -> " << after << " workers";
     }
   }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
-  dc.set_shards(8);  // after configure, before start: must re-size slabs
-  dc.handle_message(
-      privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
-  for (std::size_t i = 0; i < events.size(); i += 1024) {
-    dc.ingest(events.data() + i, std::min<std::size_t>(1024, events.size() - i));
-  }
-  dc.handle_message(
-      privcount::encode_simple(0, 1, privcount::msg_type::stop_collection, 1));
-  bus.run_until_quiescent();
-  EXPECT_EQ(report, reference);
 }
 
 TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
@@ -212,6 +205,7 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
   dc.set_shards(4);
   dc.set_thread_pool(nullptr);
   EXPECT_EQ(dc.shards(), 4u);
+  EXPECT_THROW(dc.set_shards(0), precondition_error);
 }
 
 // -- PSC ---------------------------------------------------------------------
@@ -401,15 +395,15 @@ TEST(ParallelIngestTest, PscRejectsIngestPlaneChangesWhileTableIsLive) {
 TEST(ParallelIngestTest, ThreadedIngestSoakStaysConsistentAcrossRounds) {
   // Multi-round churn over the parallel path with maximum hardware
   // parallelism — the sanitizer CI legs (ASan and TSan) run this binary,
-  // so any cross-worker race in bucketing, slab writes, or seeded inserts
+  // so any cross-worker race in chunk splits, slab writes, or seeded inserts
   // surfaces here.
   const std::size_t hw =
       std::max<std::size_t>(2, std::thread::hardware_concurrency());
   const std::vector<tor::event> events = zipf_events(60'000, 37);
   std::vector<std::uint8_t> first;
   for (int round = 0; round < 3; ++round) {
-    const std::vector<std::uint8_t> report =
-        privcount_report_bytes(events, 2 * hw, hw, 913);
+    const std::vector<std::uint8_t> report = privcount_report_bytes(
+        events, hw, 12'289, instrument_form::compiled);
     if (first.empty()) {
       first = report;
     } else {
@@ -443,7 +437,7 @@ TEST(ParallelIngestTest, ThreadedIngestSoakStaysConsistentAcrossRounds) {
 
 TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   // A full flash-crowd surge day streamed live through the trace socket
-  // into a sharded, threaded DC. The stream is far larger than the
+  // into a threaded DC. The stream is far larger than the
   // receiver's 64 KiB recv chunk and any default kernel socket buffer, so
   // the feeder's sends block on the receiver's ingest pace (the bounded
   // send queue engaging) — and despite that backpressure churn, every
@@ -461,7 +455,7 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   ASSERT_GT(events.size(), 30'000u);  // surge volume dwarfs socket buffers
 
   const std::vector<std::uint8_t> reference =
-      privcount_report_bytes(events, 1, 0, 0);
+      privcount_report_bytes(events, 0, 0);
 
   const std::uint16_t port = free_loopback_port();
   tor::event_socket_source source{port, 30'000};
@@ -481,27 +475,15 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
-  dc.add_instrument(core::instrument_by_name("entry_totals"));
-  dc.set_shards(8);
+  add_privcount_instruments(dc, instrument_form::compiled);
   dc.set_thread_pool(std::make_shared<util::thread_pool>(4));
-
-  privcount::configure_msg cfg;
-  cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
-    for (const auto& spec : core::default_specs_for(instrument)) {
-      cfg.counter_names.push_back(spec.name);
-      cfg.sigmas.push_back(1.5);
-    }
-  }
-  cfg.noise_weight = 1.0;
-  dc.handle_message(privcount::encode_configure(0, 1, cfg));
+  dc.handle_message(privcount::encode_configure(0, 1, privcount_configure()));
   dc.handle_message(
       privcount::encode_simple(0, 1, privcount::msg_type::start_collection, 1));
 
   core::event_sink& sink = dc;
   std::vector<tor::event> block;
-  constexpr std::size_t k_block = 2'048;
+  constexpr std::size_t k_block = 8'192;
   block.reserve(k_block);
   std::size_t received = 0;
   for (;;) {
@@ -526,7 +508,7 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
       privcount::encode_simple(0, 1, privcount::msg_type::stop_collection, 1));
   bus.run_until_quiescent();
   EXPECT_EQ(report, reference)
-      << "socket-fed sharded report diverged from direct serial ingest";
+      << "socket-fed threaded report diverged from direct serial ingest";
 }
 
 }  // namespace

@@ -262,6 +262,75 @@ TEST(WorkloadCursorTest, GiantSpanWindowDeliversWholeScenarioInOneSpan) {
   EXPECT_EQ(cursor.drain(), 0u);  // nothing left past a giant window
 }
 
+TEST(WorkloadCursorTest, TraceBlockEdgesAtWindowBoundariesMatchGeneratedSlice) {
+  // The trace cursor decodes into 8192-event block slots; put window
+  // boundaries one before, on, and one past a block edge. Every window's
+  // spans, concatenated, and every dropped count must equal the zero-copy
+  // generated-slice cursor's over the same events. Bodies alternate kinds
+  // and string lengths so reused slots switch alternatives.
+  constexpr std::int64_t k_events = 3 * 8192 + 500;
+  std::vector<tor::event> events;
+  for (std::int64_t t = 0; t < k_events; ++t) {
+    tor::event ev = stream_event_at(t, static_cast<std::size_t>(t % 7));
+    if (t % 3 == 1) {
+      ev.body = tor::entry_data_event{static_cast<std::uint32_t>(t),
+                                      static_cast<std::uint64_t>(t * 5)};
+    } else if (t % 3 == 2) {
+      std::get<tor::exit_stream_event>(ev.body).target += std::string(
+          static_cast<std::size_t>(t % 50), 'q');
+    }
+    events.push_back(std::move(ev));
+  }
+  const auto generated =
+      std::make_shared<const std::vector<std::vector<tor::event>>>(
+          std::vector<std::vector<tor::event>>{events});
+  workdir_guard workdir;
+  {
+    tor::trace_writer writer{workdir.path() + "/" + tor::trace_file_name(0)};
+    for (const tor::event& ev : events) writer.write(ev);
+    writer.close();
+  }
+  deployment_plan file_plan = make_psc_plan(1, 1, 64);
+  file_plan.workload.kind = workload_kind::trace;
+  file_plan.workload.trace_dir = workdir.path();
+  deployment_plan slice_plan = make_psc_plan(1, 1, 64);
+  slice_plan.workload.kind = workload_kind::scenario;
+
+  for (const std::int64_t b : {8191, 8192, 8193}) {
+    // Window 1 holds exactly b events; a 5-event gap; window 2 holds b
+    // more; then a 100-event gap, a window to near the end, and a drain.
+    const std::vector<std::pair<std::int64_t, std::int64_t>> windows = {
+        {0, b}, {b + 5, 2 * b + 5}, {2 * b + 105, k_events - 50}};
+    workload_cursor from_file{file_plan, 0};
+    workload_cursor from_slice{slice_plan, 0, generated};
+    for (const auto& [lo, hi] : windows) {
+      byte_buffer file_bytes, slice_bytes;
+      const auto sink_into = [](byte_buffer& out) {
+        return [&out](const tor::event* evs, std::size_t n) {
+          for (std::size_t i = 0; i < n; ++i) {
+            tor::append_event_record(out, evs[i]);
+          }
+        };
+      };
+      const std::size_t n_file = from_file.stream_window(
+          sim_time{lo}, sim_time{hi}, sink_into(file_bytes));
+      const std::size_t n_slice = from_slice.stream_window(
+          sim_time{lo}, sim_time{hi}, sink_into(slice_bytes));
+      EXPECT_EQ(n_file, static_cast<std::size_t>(hi - lo)) << "b " << b;
+      EXPECT_EQ(n_file, n_slice) << "b " << b << " window " << lo;
+      EXPECT_EQ(file_bytes, slice_bytes) << "b " << b << " window " << lo;
+      EXPECT_EQ(from_file.dropped_outside_windows(),
+                from_slice.dropped_outside_windows())
+          << "b " << b << " window " << lo;
+    }
+    EXPECT_EQ(from_file.drain(), from_slice.drain()) << "b " << b;
+    EXPECT_EQ(from_file.dropped_outside_windows(),
+              from_slice.dropped_outside_windows());
+    // The two gaps (5 + 100 events) and the 50 drained.
+    EXPECT_EQ(from_file.dropped_outside_windows(), 155u);
+  }
+}
+
 TEST(RoundScheduleTest, PlanScheduleDrivesWindowing) {
   deployment_plan plan = make_privcount_plan(2, 1, {{"entry/connections", 12.0, 100.0}});
   plan.schedule_rounds = 3;
@@ -388,10 +457,7 @@ TEST(MultiRoundFaultTest, FeederSocketKilledMidRoundKeepsPipelineExact) {
   plan.dc_grace_ms = 1500;
   plan.round_deadline_ms = 30'000;
   plan.tally_path = workdir.path() + "/tally.out";
-  assign_free_ports(plan);
-  std::uint16_t base = 0;
-  for (const auto& n : plan.nodes) base = std::max(base, n.port);
-  plan.workload.event_port_base = static_cast<std::uint16_t>(base + 1);
+  assign_free_ports(plan);  // fabric ports and one event port per DC
 
   // DC 0: healthy feeder, full 3-day stream. DC 1: feeder killed mid-round
   // (day-0 records plus a truncated day-1 record, then an abrupt close).
@@ -475,12 +541,12 @@ TEST(MultiRoundFaultTest, FeederSocketKilledMidRoundKeepsPipelineExact) {
       << result.summary;
 }
 
-/// Sharded-ingest regression: a DC running with dc_shards > 1 must survive
-/// a feeder killed mid-round exactly like the scalar path — sharding
-/// buffers events per window, so a stream failure must not lose or
-/// double-count anything already bucketed. Every later round of the live
-/// run must be byte-identical to a reference round replaying the truncated
-/// trace from files with the scalar observe path.
+/// Ingest-plane regression: a DC whose ingest pool splits each span (and
+/// whose dc_shards > 1 is accepted and ignored) must survive a feeder
+/// killed mid-round exactly like the serial path — a stream failure must
+/// not lose or double-count anything already decoded into the window's
+/// blocks. Every later round of the live run must be byte-identical to a
+/// reference round replaying the truncated trace from files serially.
 TEST(MultiRoundFaultTest, ShardedDcSurvivesFeederDeathMatchingTruncatedTrace) {
   const std::string bin = node_binary();
   if (bin.empty()) GTEST_SKIP() << "tormet_node binary not found";
@@ -505,12 +571,10 @@ TEST(MultiRoundFaultTest, ShardedDcSurvivesFeederDeathMatchingTruncatedTrace) {
   plan.round_duration_s = k_seconds_per_day;
   plan.dc_grace_ms = 1500;
   plan.round_deadline_ms = 30'000;
-  plan.dc_shards = 3;  // the regression under test
+  plan.dc_shards = 3;  // accepted and ignored
+  plan.dc_ingest_threads = 2;
   plan.tally_path = workdir.path() + "/tally.out";
-  assign_free_ports(plan);
-  std::uint16_t base = 0;
-  for (const auto& n : plan.nodes) base = std::max(base, n.port);
-  plan.workload.event_port_base = static_cast<std::uint16_t>(base + 1);
+  assign_free_ports(plan);  // fabric ports and one event port per DC
 
   // DC 0: healthy feeder, full 3-day stream. DC 1: day-0 records, then half
   // of the first day-1 record and an abrupt close — killed mid-round 1.
@@ -577,6 +641,7 @@ TEST(MultiRoundFaultTest, ShardedDcSurvivesFeederDeathMatchingTruncatedTrace) {
   ref_plan.workload.kind = workload_kind::trace;
   ref_plan.workload.trace_dir = ref_dir;
   ref_plan.dc_shards = 1;
+  ref_plan.dc_ingest_threads = 0;
   EXPECT_EQ(result.tally, run_reference_round(ref_plan));
 
   // All three rounds completed; rounds after the kill count only DC 0.
