@@ -34,15 +34,29 @@ tor::event make_stream_event(const std::string& host) {
   return ev;
 }
 
-void bm_stream_taxonomy_instrument(benchmark::State& state) {
-  const auto instrument = core::instrument_stream_taxonomy();
-  const tor::event ev = make_stream_event("www.example.com");
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
-  for (auto _ : state) {
-    instrument(ev, incr);
+/// One instance of an instrument bound to a local slab: a slot per
+/// counter it names, then the trash slot.
+struct bound_instrument {
+  explicit bound_instrument(const privcount::instrument_factory& make)
+      : ins{make()} {
+    std::size_t slots = 0;
+    ins->bind([&slots](const std::string&) { return slots++; });
+    slab.assign(slots + 1, 0);
   }
-  benchmark::DoNotOptimize(total);
+  void observe(const tor::event& ev) { ins->ingest_span(&ev, 1, slab.data()); }
+
+  std::unique_ptr<privcount::batch_instrument> ins;
+  std::vector<std::uint64_t> slab;
+};
+
+void bm_stream_taxonomy_instrument(benchmark::State& state) {
+  bound_instrument instrument{core::instrument_stream_taxonomy()};
+  const tor::event ev = make_stream_event("www.example.com");
+  for (auto _ : state) {
+    instrument.observe(ev);
+    benchmark::DoNotOptimize(instrument.slab.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(bm_stream_taxonomy_instrument);
 
@@ -58,17 +72,17 @@ void bm_domain_set_matching(benchmark::State& state) {
     set.domains.push_back(alexa.domain_at_rank(rank));
   }
   sets.push_back(std::move(set));
-  const auto instrument = core::instrument_domain_sets("rank", std::move(sets));
+  bound_instrument instrument{
+      core::instrument_domain_sets("rank", std::move(sets))};
 
   const tor::event hit = make_stream_event("www.amazon.com");
   const tor::event miss = make_stream_event("tail1234567.com");
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
   for (auto _ : state) {
-    instrument(hit, incr);
-    instrument(miss, incr);
+    instrument.observe(hit);
+    instrument.observe(miss);
+    benchmark::DoNotOptimize(instrument.slab.data());
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(total);
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(bm_domain_set_matching)->Arg(100000)->Arg(1000000)
@@ -105,16 +119,15 @@ BENCHMARK(bm_psc_insert_toy);
 void bm_country_instrument(benchmark::State& state) {
   const auto geo = std::make_shared<const workload::geoip_db>(
       workload::geoip_db::make_synthetic());
-  const auto instrument = core::instrument_country_usage(
-      geo, {"US", "RU", "DE", "UA", "FR", "AE"});
+  bound_instrument instrument{core::instrument_country_usage(
+      geo, {"US", "RU", "DE", "UA", "FR", "AE"})};
   tor::event ev;
   ev.body = tor::entry_connection_event{42};  // country 0 = US block
-  std::uint64_t total = 0;
-  const auto incr = [&](const std::string&, std::uint64_t n) { total += n; };
   for (auto _ : state) {
-    instrument(ev, incr);
+    instrument.observe(ev);
+    benchmark::DoNotOptimize(instrument.slab.data());
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(total);
 }
 BENCHMARK(bm_country_instrument);
 

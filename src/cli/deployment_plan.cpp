@@ -230,6 +230,66 @@ deployment_plan parse_plan(std::string_view text) {
     const auto want = [&](bool ok) {
       if (!ok || ls.fail()) fail("malformed '" + key + "' entry");
     };
+    const auto parse_u64 = [&](const std::string& kind,
+                               const std::string& field, const char* what) {
+      std::uint64_t v = 0;
+      std::istringstream fs{field};
+      fs >> v;
+      if (fs.fail() || !fs.eof() || field.empty() || field[0] == '-') {
+        fail(kind + " " + what + " is not a number: '" + field + "'");
+      }
+      return v;
+    };
+    // The one comma-joined token of the scenario and relays workloads:
+    // `<lead>,<scale>,<events>,<seed>[,<days>]`, where `lead` names the
+    // kind's `n_lead` leading fields. Reads scale, events, seed and days
+    // into plan.workload and returns the leading fields. Every field is
+    // validated with a typed error: an out-of-range envelope parameter must
+    // fail the parse, not render a silently different workload.
+    const auto parse_envelope_token = [&](const std::string& kind,
+                                          const std::string& lead,
+                                          std::size_t n_lead) {
+      std::string spec;
+      ls >> spec;
+      want(!spec.empty());
+      std::vector<std::string> fields;
+      std::size_t pos = 0;
+      for (;;) {
+        const std::size_t comma = spec.find(',', pos);
+        fields.push_back(spec.substr(
+            pos, comma == std::string::npos ? std::string::npos : comma - pos));
+        if (comma == std::string::npos) break;
+        pos = comma + 1;
+      }
+      if (fields.size() < n_lead + 3 || fields.size() > n_lead + 4) {
+        fail(kind + " spec needs " + lead + ",scale,events,seed[,days], got " +
+             std::to_string(fields.size()) + " field(s)");
+      }
+      double scale = 0.0;
+      std::istringstream fs{fields[n_lead]};
+      fs >> scale;
+      if (fs.fail() || !fs.eof()) {
+        fail(kind + " scale is not a number: '" + fields[n_lead] + "'");
+      }
+      // Bounded so hostile plan text cannot demand a client population
+      // (256 * scale) beyond what generation can materialize.
+      if (!(scale > 0.0) || scale > 1'000.0) {
+        fail(kind + " scale must be in (0, 1000]");
+      }
+      plan.workload.scale = scale;
+      plan.workload.events = parse_u64(kind, fields[n_lead + 1], "events");
+      if (plan.workload.events < 1 || plan.workload.events > 100'000'000) {
+        fail(kind + " events/day must be in [1, 100000000]");
+      }
+      plan.workload.gen_seed = parse_u64(kind, fields[n_lead + 2], "seed");
+      if (fields.size() == n_lead + 4) {
+        const std::uint64_t days = parse_u64(kind, fields[n_lead + 3], "days");
+        if (days < 1 || days > 366) fail(kind + " days must be in [1, 366]");
+        plan.workload.gen_days = days;
+      }
+      fields.resize(n_lead);
+      return fields;
+    };
     if (key == "protocol") {
       ls >> plan.protocol;
       want(plan.protocol == "psc" || plan.protocol == "privcount");
@@ -273,138 +333,27 @@ deployment_plan parse_plan(std::string_view text) {
         want(port >= 1 && port <= 0xffff);
         plan.workload.event_port_base = static_cast<std::uint16_t>(port);
       } else if (kind == "scenario") {
-        // `scenario <name>,<scale>,<events>,<seed>[,<days>]` — one
-        // comma-joined token. Every field is validated here with a typed
-        // error: an unknown name or an out-of-range envelope parameter must
-        // fail the parse, not render a silently different workload.
         plan.workload.kind = workload_kind::scenario;
-        std::string spec;
-        ls >> spec;
-        want(!spec.empty());
-        std::vector<std::string> fields;
-        std::size_t pos = 0;
-        for (;;) {
-          const std::size_t comma = spec.find(',', pos);
-          fields.push_back(spec.substr(pos, comma == std::string::npos
-                                                ? std::string::npos
-                                                : comma - pos));
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
-        if (fields.size() < 4 || fields.size() > 5) {
-          fail("scenario spec needs name,scale,events,seed[,days], got " +
-               std::to_string(fields.size()) + " field(s)");
-        }
-        const auto parse_u64 = [&](const std::string& field,
-                                   const char* what) {
-          std::uint64_t v = 0;
-          std::istringstream fs{field};
-          fs >> v;
-          if (fs.fail() || !fs.eof() || field.empty() || field[0] == '-') {
-            fail("scenario " + std::string{what} + " is not a number: '" +
-                 field + "'");
-          }
-          return v;
-        };
-        plan.workload.model = fields[0];
+        const auto lead = parse_envelope_token("scenario", "name", 1);
+        plan.workload.model = lead[0];
         if (!workload::is_known_scenario(plan.workload.model)) {
           fail("unknown scenario '" + plan.workload.model +
                "' (expected flash_crowd|diurnal|botnet_surge|relay_churn|"
                "country_block)");
         }
-        {
-          double scale = 0.0;
-          std::istringstream fs{fields[1]};
-          fs >> scale;
-          if (fs.fail() || !fs.eof()) {
-            fail("scenario scale is not a number: '" + fields[1] + "'");
-          }
-          // Bounded so hostile plan text cannot demand a client population
-          // (256 * scale) beyond what generation can materialize.
-          if (!(scale > 0.0) || scale > 1'000.0) {
-            fail("scenario scale must be in (0, 1000]");
-          }
-          plan.workload.scale = scale;
-        }
-        plan.workload.events = parse_u64(fields[2], "events");
-        if (plan.workload.events < 1 ||
-            plan.workload.events > 100'000'000) {
-          fail("scenario events/day must be in [1, 100000000]");
-        }
-        plan.workload.gen_seed = parse_u64(fields[3], "seed");
-        if (fields.size() == 5) {
-          const std::uint64_t days = parse_u64(fields[4], "days");
-          if (days < 1 || days > 366) {
-            fail("scenario days must be in [1, 366]");
-          }
-          plan.workload.gen_days = days;
-        }
       } else if (kind == "relays") {
-        // `relays <count>,<model>,<scale>,<events>,<seed>[,<days>]` — one
-        // comma-joined token: the generate workload routed through a
-        // simulated relay fleet (src/relay/).
+        // The generate workload routed through a simulated relay fleet
+        // (src/relay/).
         plan.workload.kind = workload_kind::relays;
-        std::string spec;
-        ls >> spec;
-        want(!spec.empty());
-        std::vector<std::string> fields;
-        std::size_t pos = 0;
-        for (;;) {
-          const std::size_t comma = spec.find(',', pos);
-          fields.push_back(spec.substr(pos, comma == std::string::npos
-                                                ? std::string::npos
-                                                : comma - pos));
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
-        if (fields.size() < 5 || fields.size() > 6) {
-          fail("relays spec needs count,model,scale,events,seed[,days], got " +
-               std::to_string(fields.size()) + " field(s)");
-        }
-        const auto parse_u64 = [&](const std::string& field,
-                                   const char* what) {
-          std::uint64_t v = 0;
-          std::istringstream fs{field};
-          fs >> v;
-          if (fs.fail() || !fs.eof() || field.empty() || field[0] == '-') {
-            fail("relays " + std::string{what} + " is not a number: '" +
-                 field + "'");
-          }
-          return v;
-        };
-        plan.workload.relay_count = parse_u64(fields[0], "count");
+        const auto lead = parse_envelope_token("relays", "count,model", 2);
+        plan.workload.relay_count = parse_u64("relays", lead[0], "count");
         if (plan.workload.relay_count < 1 ||
             plan.workload.relay_count > 100'000) {
           fail("relays count must be in [1, 100000]");
         }
-        plan.workload.model = fields[1];
+        plan.workload.model = lead[1];
         if (!workload::is_known_trace_model(plan.workload.model)) {
           fail("unknown trace model '" + plan.workload.model + "'");
-        }
-        {
-          double scale = 0.0;
-          std::istringstream fs{fields[2]};
-          fs >> scale;
-          if (fs.fail() || !fs.eof()) {
-            fail("relays scale is not a number: '" + fields[2] + "'");
-          }
-          if (!(scale > 0.0) || scale > 1'000.0) {
-            fail("relays scale must be in (0, 1000]");
-          }
-          plan.workload.scale = scale;
-        }
-        plan.workload.events = parse_u64(fields[3], "events");
-        if (plan.workload.events < 1 ||
-            plan.workload.events > 100'000'000) {
-          fail("relays events must be in [1, 100000000]");
-        }
-        plan.workload.gen_seed = parse_u64(fields[4], "seed");
-        if (fields.size() == 6) {
-          const std::uint64_t days = parse_u64(fields[5], "days");
-          if (days < 1 || days > 366) {
-            fail("relays days must be in [1, 366]");
-          }
-          plan.workload.gen_days = days;
         }
       } else {
         fail("unknown workload kind '" + kind +

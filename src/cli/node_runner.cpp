@@ -1160,13 +1160,7 @@ const dc_protocol<privcount::data_collector> k_privcount_dc{
       expects(!plan.instruments.empty(),
               "event workload needs at least one instrument");
       for (const auto& name : plan.instruments) {
-        // Prefer the slot-compiled batch form when one exists; the closure
-        // instrument is the fallback (identical increments either way).
-        if (auto fast = core::make_batch_instrument(name)) {
-          dc.add_instrument(std::move(fast));
-        } else {
-          dc.add_instrument(core::instrument_by_name(name));
-        }
+        dc.add_instrument(core::instrument_by_name(name)());
       }
     },
     nullptr,

@@ -1,6 +1,9 @@
 #include "src/core/instruments.h"
 
+#include <array>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/util/bytes.h"
 #include "src/util/check.h"
@@ -35,217 +38,285 @@ template <typename Map>
   }
 }
 
-}  // namespace
+/// True when `hostname` or one of its parent domains is an Alexa entry.
+[[nodiscard]] bool alexa_listed(const workload::alexa_list& alexa,
+                                std::string_view hostname) {
+  std::string_view rest = hostname;
+  for (;;) {
+    if (alexa.contains(rest)) return true;
+    const std::size_t dot = rest.find('.');
+    if (dot == std::string_view::npos) return false;
+    rest.remove_prefix(dot + 1);
+  }
+}
 
-privcount::data_collector::instrument instrument_stream_taxonomy() {
-  return [](const tor::event& ev, const auto& incr) {
-    const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
-    if (s == nullptr) return;
-    incr("streams/total", 1);
-    if (!s->is_initial) return;
-    incr("streams/initial", 1);
-    switch (s->kind) {
-      case tor::address_kind::hostname: {
-        incr("streams/initial/hostname", 1);
-        const bool web = s->port == 80 || s->port == 443;
-        incr(web ? "streams/initial/hostname/web"
-                 : "streams/initial/hostname/other",
-             1);
-        break;
-      }
-      case tor::address_kind::ipv4:
-        incr("streams/initial/ipv4", 1);
-        break;
-      case tor::address_kind::ipv6:
-        incr("streams/initial/ipv6", 1);
-        break;
-    }
+/// What the entry-side instruments read off a client connection, circuit
+/// or data event. `measure` indexes k_entry_measures.
+struct entry_fact {
+  std::uint32_t ip = 0;
+  std::size_t measure = 0;
+  std::uint64_t amount = 1;
+  bool dir_circuit = false;
+};
+constexpr std::array<const char*, 3> k_entry_measures{"connections",
+                                                      "circuits", "bytes"};
+
+[[nodiscard]] std::optional<entry_fact> entry_fact_of(const tor::event& ev) {
+  if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
+    return entry_fact{c->client_ip, 0, 1, false};
+  }
+  if (const auto* ci = std::get_if<tor::entry_circuit_event>(&ev.body)) {
+    return entry_fact{ci->client_ip, 1, 1,
+                      ci->kind == tor::circuit_kind::directory};
+  }
+  if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
+    return entry_fact{d->client_ip, 2, d->bytes, false};
+  }
+  return std::nullopt;
+}
+
+/// The one compiled form of every catalogue instrument. `names_` lists its
+/// counters once; bind() resolves them to this round's slab slots, and
+/// `step_(ev, slot, slab)` increments slab[slot[k]] for the k-th name.
+/// step_ captures only immutable state, so concurrent ingest_span() calls
+/// on disjoint rows share nothing mutable.
+template <typename Step>
+class compiled_instrument final : public privcount::batch_instrument {
+ public:
+  compiled_instrument(std::shared_ptr<const std::vector<std::string>> names,
+                      Step step)
+      : names_{std::move(names)}, step_{std::move(step)} {}
+
+  void bind(const privcount::slot_resolver& slot_of) override {
+    slots_.clear();
+    for (const auto& name : *names_) slots_.push_back(slot_of(name));
+  }
+
+  void ingest_span(const tor::event* evs, std::size_t n,
+                   std::uint64_t* slab) override {
+    const std::size_t* slot = slots_.data();
+    for (std::size_t i = 0; i < n; ++i) step_(evs[i], slot, slab);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<std::string>> names_;
+  Step step_;
+  std::vector<std::size_t> slots_;
+};
+
+/// A factory of fresh, unbound compiled_instrument instances: `step`
+/// increments the k-th of `names` as slab[slot[k]].
+template <typename Step>
+[[nodiscard]] privcount::instrument_factory compile(
+    std::vector<std::string> names, Step step) {
+  return [names = std::make_shared<const std::vector<std::string>>(
+              std::move(names)),
+          step]() -> std::unique_ptr<privcount::batch_instrument> {
+    return std::make_unique<compiled_instrument<Step>>(names, step);
   };
 }
 
-privcount::data_collector::instrument instrument_domain_sets(
+}  // namespace
+
+privcount::instrument_factory instrument_stream_taxonomy() {
+  enum : std::size_t { total, initial, hostname, ipv4, ipv6, web, other };
+  return compile(
+      {"streams/total", "streams/initial", "streams/initial/hostname",
+       "streams/initial/ipv4", "streams/initial/ipv6",
+       "streams/initial/hostname/web", "streams/initial/hostname/other"},
+      [](const tor::event& ev, const std::size_t* slot, std::uint64_t* slab) {
+        const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
+        if (s == nullptr) return;
+        ++slab[slot[total]];
+        if (!s->is_initial) return;
+        ++slab[slot[initial]];
+        switch (s->kind) {
+          case tor::address_kind::hostname:
+            ++slab[slot[hostname]];
+            ++slab[slot[(s->port == 80 || s->port == 443) ? web : other]];
+            break;
+          case tor::address_kind::ipv4:
+            ++slab[slot[ipv4]];
+            break;
+          case tor::address_kind::ipv6:
+            ++slab[slot[ipv6]];
+            break;
+        }
+      });
+}
+
+privcount::instrument_factory instrument_domain_sets(
     std::string base, std::vector<domain_set> sets) {
-  // domain -> (set index) with first-set-wins semantics.
+  // domain -> counter position, with first-set-wins semantics.
+  std::vector<std::string> names;
   auto index = std::make_shared<std::unordered_map<std::string, std::size_t>>();
-  auto names = std::make_shared<std::vector<std::string>>();
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    names->push_back(base + "/" + sets[i].name);
-    for (const auto& d : sets[i].domains) {
-      index->emplace(d, i);  // emplace keeps the first set that claimed d
+  for (const auto& set : sets) {
+    for (const auto& d : set.domains) {
+      index->emplace(d, names.size());  // keeps the first set that claimed d
     }
+    names.push_back(base + "/" + set.name);
   }
-  const std::string other = base + "/other";
-  return [index, names, other](const tor::event& ev, const auto& incr) {
+  const std::size_t other = names.size();
+  names.push_back(base + "/other");
+  return compile(std::move(names), [index, other](const tor::event& ev,
+                                                  const std::size_t* slot,
+                                                  std::uint64_t* slab) {
     const auto* s = primary_domain_of(ev);
     if (s == nullptr) return;
     const auto it = find_by_suffix(*index, s->target);
-    if (it == index->end()) {
-      incr(other, 1);
-    } else {
-      incr((*names)[it->second], 1);
-    }
-  };
+    ++slab[slot[it == index->end() ? other : it->second]];
+  });
 }
 
-privcount::data_collector::instrument instrument_tld_histogram(
+privcount::instrument_factory instrument_tld_histogram(
     std::string base, std::vector<std::string> tlds,
     std::shared_ptr<const workload::alexa_list> alexa, bool separate_torproject,
     std::shared_ptr<const workload::suffix_list> suffixes) {
   expects(suffixes != nullptr, "tld histogram needs a suffix list");
-  auto tld_set = std::make_shared<std::unordered_map<std::string, std::string>>();
+  std::vector<std::string> names;
+  auto tld_index =
+      std::make_shared<std::unordered_map<std::string, std::size_t>>();
   for (const auto& tld : tlds) {
-    (*tld_set)[tld] = base + "/" + tld;
+    (*tld_index)[tld] = names.size();
+    names.push_back(base + "/" + tld);
   }
-  const std::string other = base + "/other";
-  const std::string torproject = base + "/torproject.org";
-  return [tld_set, alexa, separate_torproject, suffixes, other, torproject](
-             const tor::event& ev, const auto& incr) {
+  const std::size_t other = names.size();
+  names.push_back(base + "/other");
+  const std::size_t torproject = names.size();
+  if (separate_torproject) names.push_back(base + "/torproject.org");
+  return compile(std::move(names), [tld_index, alexa, separate_torproject,
+                                    other, torproject](const tor::event& ev,
+                                                       const std::size_t* slot,
+                                                       std::uint64_t* slab) {
     const auto* s = primary_domain_of(ev);
     if (s == nullptr) return;
     if (separate_torproject &&
         workload::hostname_matches_domain(s->target, "torproject.org")) {
-      incr(torproject, 1);
+      ++slab[slot[torproject]];
       return;
     }
-    if (alexa != nullptr) {
-      // Restrict to Alexa-listed domains: the hostname or a parent must be
-      // a list entry.
-      std::string_view rest = s->target;
-      bool listed = false;
-      for (;;) {
-        if (alexa->contains(rest)) {
-          listed = true;
-          break;
-        }
-        const std::size_t dot = rest.find('.');
-        if (dot == std::string_view::npos) break;
-        rest.remove_prefix(dot + 1);
-      }
-      if (!listed) return;
-    }
+    // With a list, only Alexa-listed domains count (Fig 3's second series).
+    if (alexa != nullptr && !alexa_listed(*alexa, s->target)) return;
     const auto tld = workload::suffix_list::tld_of(s->target);
     if (!tld.has_value()) return;
-    const auto it = tld_set->find(*tld);
-    incr(it == tld_set->end() ? other : it->second, 1);
-  };
+    const auto it = tld_index->find(*tld);
+    ++slab[slot[it == tld_index->end() ? other : it->second]];
+  });
 }
 
-privcount::data_collector::instrument instrument_entry_totals() {
-  return [](const tor::event& ev, const auto& incr) {
-    if (std::holds_alternative<tor::entry_connection_event>(ev.body)) {
-      incr("entry/connections", 1);
-    } else if (std::holds_alternative<tor::entry_circuit_event>(ev.body)) {
-      incr("entry/circuits", 1);
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      incr("entry/bytes", d->bytes);
-    }
-  };
+privcount::instrument_factory instrument_entry_totals() {
+  std::vector<std::string> names;
+  for (const char* m : k_entry_measures) {
+    names.push_back(std::string{"entry/"} + m);
+  }
+  return compile(std::move(names), [](const tor::event& ev,
+                                      const std::size_t* slot,
+                                      std::uint64_t* slab) {
+    if (const auto f = entry_fact_of(ev)) slab[slot[f->measure]] += f->amount;
+  });
 }
 
-privcount::data_collector::instrument instrument_country_usage(
+privcount::instrument_factory instrument_country_usage(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::string> country_codes) {
   expects(geo != nullptr, "country usage needs a geoip db");
-  auto wanted = std::make_shared<std::unordered_map<std::uint16_t, std::string>>();
+  // Country index -> position of its first counter; the code's counters
+  // are k_entry_measures in order, then dir-requests.
+  constexpr std::size_t k_unmeasured = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first(geo->num_countries(), k_unmeasured);
+  std::vector<std::string> names;
   for (const auto& code : country_codes) {
-    (*wanted)[geo->index_of(code)] = code;
-  }
-  return [geo, wanted](const tor::event& ev, const auto& incr) {
-    std::uint32_t ip = 0;
-    const char* suffix = nullptr;
-    std::uint64_t amount = 1;
-    bool is_dir_circuit = false;
-    if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
-      ip = c->client_ip;
-      suffix = "connections";
-    } else if (const auto* ci = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      ip = ci->client_ip;
-      suffix = "circuits";
-      is_dir_circuit = ci->kind == tor::circuit_kind::directory;
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      ip = d->client_ip;
-      suffix = "bytes";
-      amount = d->bytes;
-    } else {
-      return;
+    first[geo->index_of(code)] = names.size();
+    for (const char* m : k_entry_measures) {
+      names.push_back("country/" + code + "/" + m);
     }
-    const auto it = wanted->find(geo->country_of(ip));
-    if (it == wanted->end()) return;
-    incr("country/" + it->second + "/" + suffix, amount);
+    names.push_back("country/" + code + "/dir-requests");
+  }
+  return compile(std::move(names), [geo, first](const tor::event& ev,
+                                                const std::size_t* slot,
+                                                std::uint64_t* slab) {
+    const auto f = entry_fact_of(ev);
+    if (!f.has_value()) return;
+    const std::size_t at = first[geo->country_of(f->ip)];
+    if (at == k_unmeasured) return;
+    slab[slot[at + f->measure]] += f->amount;
     // Directory requests feed the Tor-Metrics-style baseline estimator
     // (stats/metrics_portal.h) — the §5.2 UAE-discrepancy comparison.
-    if (is_dir_circuit) incr("country/" + it->second + "/dir-requests", amount);
-  };
+    if (f->dir_circuit) slab[slot[at + k_entry_measures.size()]] += f->amount;
+  });
 }
 
-privcount::data_collector::instrument instrument_as_split(
+privcount::instrument_factory instrument_as_split(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::uint32_t> top_asns) {
   expects(geo != nullptr, "as split needs a geoip db");
-  auto top = std::make_shared<std::set<std::uint32_t>>(top_asns.begin(),
-                                                       top_asns.end());
-  return [geo, top](const tor::event& ev, const auto& incr) {
-    std::uint32_t ip = 0;
-    const char* suffix = nullptr;
-    std::uint64_t amount = 1;
-    if (const auto* c = std::get_if<tor::entry_connection_event>(&ev.body)) {
-      ip = c->client_ip;
-      suffix = "connections";
-    } else if (const auto* ci = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      ip = ci->client_ip;
-      suffix = "circuits";
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&ev.body)) {
-      ip = d->client_ip;
-      suffix = "bytes";
-      amount = d->bytes;
-    } else {
-      return;
+  auto top = std::make_shared<const std::unordered_set<std::uint32_t>>(
+      top_asns.begin(), top_asns.end());
+  std::vector<std::string> names;
+  for (const char* group : {"as/top1000/", "as/other/"}) {
+    for (const char* m : k_entry_measures) {
+      names.push_back(std::string{group} + m);
     }
-    const bool is_top = top->contains(geo->asn_of(ip));
-    incr(std::string{"as/"} + (is_top ? "top1000/" : "other/") + suffix, amount);
-  };
+  }
+  return compile(std::move(names), [geo, top](const tor::event& ev,
+                                              const std::size_t* slot,
+                                              std::uint64_t* slab) {
+    const auto f = entry_fact_of(ev);
+    if (!f.has_value()) return;
+    const std::size_t group =
+        top->contains(geo->asn_of(f->ip)) ? 0 : k_entry_measures.size();
+    slab[slot[group + f->measure]] += f->amount;
+  });
 }
 
-privcount::data_collector::instrument instrument_hsdir_descriptors(
+privcount::instrument_factory instrument_hsdir_descriptors(
     std::shared_ptr<const workload::ahmia_index> index) {
   expects(index != nullptr, "hsdir instrument needs an ahmia index");
-  return [index](const tor::event& ev, const auto& incr) {
-    if (std::holds_alternative<tor::hsdir_publish_event>(ev.body)) {
-      incr("hsdir/publishes", 1);
-      return;
-    }
-    const auto* f = std::get_if<tor::hsdir_fetch_event>(&ev.body);
-    if (f == nullptr) return;
-    incr("hsdir/fetch/total", 1);
-    if (f->outcome == tor::fetch_outcome::success) {
-      incr("hsdir/fetch/success", 1);
-      incr(index->contains(f->address) ? "hsdir/fetch/success/public"
-                                       : "hsdir/fetch/success/unknown",
-           1);
-    } else {
-      incr("hsdir/fetch/failed", 1);
-    }
-  };
+  enum : std::size_t { publishes, total, success, failed, pub, unknown };
+  return compile(
+      {"hsdir/publishes", "hsdir/fetch/total", "hsdir/fetch/success",
+       "hsdir/fetch/failed", "hsdir/fetch/success/public",
+       "hsdir/fetch/success/unknown"},
+      [index](const tor::event& ev, const std::size_t* slot,
+              std::uint64_t* slab) {
+        if (std::holds_alternative<tor::hsdir_publish_event>(ev.body)) {
+          ++slab[slot[publishes]];
+          return;
+        }
+        const auto* f = std::get_if<tor::hsdir_fetch_event>(&ev.body);
+        if (f == nullptr) return;
+        ++slab[slot[total]];
+        if (f->outcome == tor::fetch_outcome::success) {
+          ++slab[slot[success]];
+          ++slab[slot[index->contains(f->address) ? pub : unknown]];
+        } else {
+          ++slab[slot[failed]];
+        }
+      });
 }
 
-privcount::data_collector::instrument instrument_rendezvous() {
-  return [](const tor::event& ev, const auto& incr) {
-    const auto* r = std::get_if<tor::rend_circuit_event>(&ev.body);
-    if (r == nullptr) return;
-    incr("rend/circuits", 1);
-    switch (r->outcome) {
-      case tor::rend_outcome::succeeded:
-        incr("rend/succeeded", 1);
-        incr("rend/cells", r->payload_cells);
-        break;
-      case tor::rend_outcome::failed_conn_closed:
-        incr("rend/conn-closed", 1);
-        break;
-      case tor::rend_outcome::failed_expired:
-        incr("rend/expired", 1);
-        break;
-    }
-  };
+privcount::instrument_factory instrument_rendezvous() {
+  enum : std::size_t { circuits, succeeded, conn_closed, expired, cells };
+  return compile(
+      {"rend/circuits", "rend/succeeded", "rend/conn-closed", "rend/expired",
+       "rend/cells"},
+      [](const tor::event& ev, const std::size_t* slot, std::uint64_t* slab) {
+        const auto* r = std::get_if<tor::rend_circuit_event>(&ev.body);
+        if (r == nullptr) return;
+        ++slab[slot[circuits]];
+        switch (r->outcome) {
+          case tor::rend_outcome::succeeded:
+            ++slab[slot[succeeded]];
+            slab[slot[cells]] += r->payload_cells;
+            break;
+          case tor::rend_outcome::failed_conn_closed:
+            ++slab[slot[conn_closed]];
+            break;
+          case tor::rend_outcome::failed_expired:
+            ++slab[slot[expired]];
+            break;
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -292,20 +363,9 @@ psc::data_collector::extractor extract_primary_sld(
     if (s == nullptr) return std::nullopt;
     const auto sld = suffixes->sld_of(s->target);
     if (!sld.has_value()) return std::nullopt;
-    if (alexa != nullptr) {
-      // Restrict to SLDs of Alexa-listed domains.
-      std::string_view rest = s->target;
-      bool listed = false;
-      for (;;) {
-        if (alexa->contains(rest)) {
-          listed = true;
-          break;
-        }
-        const std::size_t dot = rest.find('.');
-        if (dot == std::string_view::npos) break;
-        rest.remove_prefix(dot + 1);
-      }
-      if (!listed) return std::nullopt;
+    // Restrict to SLDs of Alexa-listed domains.
+    if (alexa != nullptr && !alexa_listed(*alexa, s->target)) {
+      return std::nullopt;
     }
     return "sld:" + *sld;
   };
@@ -419,196 +479,153 @@ const std::shared_ptr<const workload::suffix_list>& canonical_suffixes() {
   return suffixes;
 }
 
-/// stream_taxonomy compiled to slab slots: one variant probe and 2-4 array
-/// increments per event, no string handling — the shape the >=50M ev/s
-/// ingest target needs. Emits exactly the increments of
-/// instrument_stream_taxonomy().
-class batch_stream_taxonomy final : public privcount::batch_instrument {
- public:
-  void bind(const privcount::slot_resolver& slot_of) override {
-    total_ = slot_of("streams/total");
-    initial_ = slot_of("streams/initial");
-    hostname_ = slot_of("streams/initial/hostname");
-    ipv4_ = slot_of("streams/initial/ipv4");
-    ipv6_ = slot_of("streams/initial/ipv6");
-    web_ = slot_of("streams/initial/hostname/web");
-    other_ = slot_of("streams/initial/hostname/other");
-  }
-
-  void ingest_span(const tor::event* evs, std::size_t n,
-                   std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(evs[i], slab);
-  }
-
- private:
-  void step(const tor::event& ev, std::uint64_t* slab) const {
-    const auto* s = std::get_if<tor::exit_stream_event>(&ev.body);
-    if (s == nullptr) return;
-    ++slab[total_];
-    if (!s->is_initial) return;
-    ++slab[initial_];
-    switch (s->kind) {
-      case tor::address_kind::hostname:
-        ++slab[hostname_];
-        ++slab[(s->port == 80 || s->port == 443) ? web_ : other_];
-        break;
-      case tor::address_kind::ipv4:
-        ++slab[ipv4_];
-        break;
-      case tor::address_kind::ipv6:
-        ++slab[ipv6_];
-        break;
-    }
-  }
-
-  std::size_t total_ = 0, initial_ = 0, hostname_ = 0, ipv4_ = 0, ipv6_ = 0,
-              web_ = 0, other_ = 0;
+/// One row per registered instrument. Sensitivities follow the paper's
+/// action bounds (Table 1: 20 domains per user-day, 12 connections, 651
+/// circuits; stream totals bound by 20 domains x ~20 streams). Expected
+/// values are magnitude guesses for the equal-relative-noise budget split;
+/// operators tune them per round.
+struct instrument_row {
+  const char* name;
+  privcount::instrument_factory (*factory)();
+  std::vector<privcount::counter_spec> (*default_specs)();
 };
 
-/// entry_totals compiled to slab slots (see instrument_entry_totals()).
-class batch_entry_totals final : public privcount::batch_instrument {
- public:
-  void bind(const privcount::slot_resolver& slot_of) override {
-    connections_ = slot_of("entry/connections");
-    circuits_ = slot_of("entry/circuits");
-    bytes_ = slot_of("entry/bytes");
-  }
-
-  void ingest_span(const tor::event* evs, std::size_t n,
-                   std::uint64_t* slab) override {
-    for (std::size_t i = 0; i < n; ++i) step(evs[i], slab);
-  }
-
- private:
-  void step(const tor::event& ev, std::uint64_t* slab) const {
-    const auto& body = ev.body;
-    if (std::holds_alternative<tor::entry_connection_event>(body)) {
-      ++slab[connections_];
-    } else if (std::holds_alternative<tor::entry_circuit_event>(body)) {
-      ++slab[circuits_];
-    } else if (const auto* d = std::get_if<tor::entry_data_event>(&body)) {
-      slab[bytes_] += d->bytes;
-    }
-  }
-
-  std::size_t connections_ = 0, circuits_ = 0, bytes_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<privcount::batch_instrument> make_batch_instrument(
-    const std::string& name) {
-  if (name == "stream_taxonomy") return std::make_unique<batch_stream_taxonomy>();
-  if (name == "entry_totals") return std::make_unique<batch_entry_totals>();
-  return nullptr;
+const std::vector<instrument_row>& instrument_table() {
+  using specs = std::vector<privcount::counter_spec>;
+  static const std::vector<instrument_row> table{
+      {"stream_taxonomy", instrument_stream_taxonomy,
+       [] {
+         return specs{{"streams/total", 400.0, 6e4},
+                      {"streams/initial", 20.0, 3e3},
+                      {"streams/initial/hostname", 20.0, 3e3},
+                      {"streams/initial/ipv4", 20.0, 500},
+                      {"streams/initial/ipv6", 20.0, 500},
+                      {"streams/initial/hostname/web", 20.0, 3e3},
+                      {"streams/initial/hostname/other", 20.0, 500}};
+       }},
+      {"entry_totals", instrument_entry_totals,
+       [] {
+         return specs{{"entry/connections", 12.0, 2e3},
+                      {"entry/circuits", 651.0, 1.7e4},
+                      {"entry/bytes", 407e6, 7e9}};
+       }},
+      {"rendezvous", instrument_rendezvous,
+       [] {
+         return specs{{"rend/circuits", 651.0, 1e4},
+                      {"rend/succeeded", 651.0, 1e3},
+                      {"rend/conn-closed", 651.0, 500},
+                      {"rend/expired", 651.0, 1e4},
+                      {"rend/cells", 1e6, 1e6}};
+       }},
+      {"tld_histogram",
+       [] {
+         return instrument_tld_histogram("tld", canonical_tlds(), nullptr,
+                                         /*separate_torproject=*/true,
+                                         canonical_suffixes());
+       },
+       [] {
+         specs out;
+         for (const auto& tld : canonical_tlds()) {
+           out.push_back({"tld/" + tld, 20.0, 500});
+         }
+         out.push_back({"tld/other", 20.0, 500});
+         out.push_back({"tld/torproject.org", 20.0, 5e3});
+         return out;
+       }},
+      {"domain_sets",
+       [] { return instrument_domain_sets("sites", canonical_rank_sets()); },
+       [] {
+         specs out;
+         for (const auto& set_name : canonical_rank_set_names()) {
+           out.push_back({"sites/" + set_name, 20.0, 1e3});
+         }
+         out.push_back({"sites/other", 20.0, 3e3});
+         return out;
+       }},
+      {"hsdir_ahmia",
+       [] { return instrument_hsdir_descriptors(canonical_ahmia()); },
+       [] {
+         return specs{{"hsdir/publishes", 24.0, 2e3},
+                      {"hsdir/fetch/total", 10.0, 1e3},
+                      {"hsdir/fetch/success", 10.0, 1e3},
+                      {"hsdir/fetch/failed", 10.0, 1e3},
+                      {"hsdir/fetch/success/public", 10.0, 500},
+                      {"hsdir/fetch/success/unknown", 10.0, 500}};
+       }},
+  };
+  return table;
 }
 
-const std::vector<std::string>& instrument_names() {
-  static const std::vector<std::string> names{
-      "stream_taxonomy", "entry_totals", "rendezvous",
-      "tld_histogram",   "domain_sets",  "hsdir_ahmia"};
+/// One row per registered extractor.
+struct extractor_row {
+  const char* name;
+  psc::data_collector::extractor (*factory)();
+};
+
+const std::vector<extractor_row>& extractor_table() {
+  static const std::vector<extractor_row> table{
+      {"client_ip", extract_client_ip},
+      {"client_country",
+       [] {
+         return extract_client_country(
+             std::make_shared<const workload::geoip_db>(
+                 workload::geoip_db::make_synthetic()));
+       }},
+      {"client_asn",
+       [] {
+         return extract_client_asn(std::make_shared<const workload::geoip_db>(
+             workload::geoip_db::make_synthetic()));
+       }},
+      {"primary_sld",
+       [] { return extract_primary_sld(canonical_suffixes(), nullptr); }},
+      {"published_address", extract_published_address},
+      {"fetched_address", extract_fetched_address},
+  };
+  return table;
+}
+
+/// The row registered under `name`; throws precondition_error naming
+/// `kind` when there is none.
+template <typename Row>
+const Row& row_of(const std::vector<Row>& table, const std::string& name,
+                  const char* kind) {
+  for (const Row& row : table) {
+    if (row.name == name) return row;
+  }
+  throw precondition_error{std::string{"unknown "} + kind + ": " + name};
+}
+
+template <typename Row>
+std::vector<std::string> names_of(const std::vector<Row>& table) {
+  std::vector<std::string> names;
+  for (const Row& row : table) names.emplace_back(row.name);
   return names;
 }
 
-privcount::data_collector::instrument instrument_by_name(
-    const std::string& name) {
-  if (name == "stream_taxonomy") return instrument_stream_taxonomy();
-  if (name == "entry_totals") return instrument_entry_totals();
-  if (name == "rendezvous") return instrument_rendezvous();
-  if (name == "tld_histogram") {
-    return instrument_tld_histogram("tld", canonical_tlds(), nullptr,
-                                    /*separate_torproject=*/true,
-                                    canonical_suffixes());
-  }
-  if (name == "domain_sets") {
-    return instrument_domain_sets("sites", canonical_rank_sets());
-  }
-  if (name == "hsdir_ahmia") {
-    return instrument_hsdir_descriptors(canonical_ahmia());
-  }
-  throw precondition_error{"unknown instrument: " + name};
+}  // namespace
+
+const std::vector<std::string>& instrument_names() {
+  static const std::vector<std::string> names = names_of(instrument_table());
+  return names;
+}
+
+privcount::instrument_factory instrument_by_name(const std::string& name) {
+  return row_of(instrument_table(), name, "instrument").factory();
 }
 
 std::vector<privcount::counter_spec> default_specs_for(
     const std::string& instrument_name) {
-  // Sensitivities follow the paper's action bounds (Table 1: 20 domains per
-  // user-day, 12 connections, 651 circuits; stream totals bound by
-  // 20 domains x ~20 streams). Expected values are magnitude guesses for
-  // the equal-relative-noise budget split — operators tune them per round.
-  if (instrument_name == "stream_taxonomy") {
-    return {{"streams/total", 400.0, 6e4},
-            {"streams/initial", 20.0, 3e3},
-            {"streams/initial/hostname", 20.0, 3e3},
-            {"streams/initial/ipv4", 20.0, 500},
-            {"streams/initial/ipv6", 20.0, 500},
-            {"streams/initial/hostname/web", 20.0, 3e3},
-            {"streams/initial/hostname/other", 20.0, 500}};
-  }
-  if (instrument_name == "entry_totals") {
-    return {{"entry/connections", 12.0, 2e3},
-            {"entry/circuits", 651.0, 1.7e4},
-            {"entry/bytes", 407e6, 7e9}};
-  }
-  if (instrument_name == "rendezvous") {
-    return {{"rend/circuits", 651.0, 1e4},
-            {"rend/succeeded", 651.0, 1e3},
-            {"rend/conn-closed", 651.0, 500},
-            {"rend/expired", 651.0, 1e4},
-            {"rend/cells", 1e6, 1e6}};
-  }
-  if (instrument_name == "tld_histogram") {
-    std::vector<privcount::counter_spec> specs;
-    for (const auto& tld : canonical_tlds()) {
-      specs.push_back({"tld/" + tld, 20.0, 500});
-    }
-    specs.push_back({"tld/other", 20.0, 500});
-    specs.push_back({"tld/torproject.org", 20.0, 5e3});
-    return specs;
-  }
-  if (instrument_name == "domain_sets") {
-    std::vector<privcount::counter_spec> specs;
-    for (const auto& set_name : canonical_rank_set_names()) {
-      specs.push_back({"sites/" + set_name, 20.0, 1e3});
-    }
-    specs.push_back({"sites/other", 20.0, 3e3});
-    return specs;
-  }
-  if (instrument_name == "hsdir_ahmia") {
-    return {{"hsdir/publishes", 24.0, 2e3},
-            {"hsdir/fetch/total", 10.0, 1e3},
-            {"hsdir/fetch/success", 10.0, 1e3},
-            {"hsdir/fetch/failed", 10.0, 1e3},
-            {"hsdir/fetch/success/public", 10.0, 500},
-            {"hsdir/fetch/success/unknown", 10.0, 500}};
-  }
-  throw precondition_error{"unknown instrument: " + instrument_name};
+  return row_of(instrument_table(), instrument_name, "instrument")
+      .default_specs();
 }
 
 const std::vector<std::string>& extractor_names() {
-  static const std::vector<std::string> names{
-      "client_ip",   "client_country",    "client_asn",
-      "primary_sld", "published_address", "fetched_address"};
+  static const std::vector<std::string> names = names_of(extractor_table());
   return names;
 }
 
 psc::data_collector::extractor extractor_by_name(const std::string& name) {
-  if (name == "client_ip") return extract_client_ip();
-  if (name == "client_country") {
-    return extract_client_country(std::make_shared<const workload::geoip_db>(
-        workload::geoip_db::make_synthetic()));
-  }
-  if (name == "client_asn") {
-    return extract_client_asn(std::make_shared<const workload::geoip_db>(
-        workload::geoip_db::make_synthetic()));
-  }
-  if (name == "primary_sld") {
-    return extract_primary_sld(std::make_shared<const workload::suffix_list>(
-                                   workload::suffix_list::embedded()),
-                               nullptr);
-  }
-  if (name == "published_address") return extract_published_address();
-  if (name == "fetched_address") return extract_fetched_address();
-  throw precondition_error{"unknown extractor: " + name};
+  return row_of(extractor_table(), name, "extractor").factory();
 }
 
 }  // namespace tormet::core

@@ -3,9 +3,17 @@
 // statistic in the paper's evaluation. Benches, examples, and tests compose
 // these with deployments instead of hand-writing event matching.
 //
+// Each PrivCount instrument has exactly one definition: a slot-compiled
+// privcount::batch_instrument that lists its counter names once, resolves
+// them to slab slots in bind(), and increments slots directly while
+// ingesting. The builders below return an instrument_factory because a
+// deployment binds one instance per DC; the distributed DCs, the
+// in-process reference round and the scenario ground truth all run these
+// same instances.
+//
 // Counter naming convention: "<area>/<statistic>[/<bin>]"; the functions
 // below document the names they emit so callers can build matching
-// counter_spec lists (see specs_* helpers).
+// counter_spec lists.
 #pragma once
 
 #include <memory>
@@ -28,7 +36,7 @@ namespace tormet::core {
 /// Fig 1 stream taxonomy. Counters: streams/total, streams/initial,
 /// streams/initial/hostname, streams/initial/ipv4, streams/initial/ipv6,
 /// streams/initial/hostname/web, streams/initial/hostname/other.
-[[nodiscard]] privcount::data_collector::instrument instrument_stream_taxonomy();
+[[nodiscard]] privcount::instrument_factory instrument_stream_taxonomy();
 
 /// A named set of domains for membership counting (Fig 2's rank and
 /// sibling sets).
@@ -41,46 +49,46 @@ struct domain_set {
 /// set membership. A hostname matches a set when it equals or is a
 /// subdomain of any member; the *first* matching set (in the given order)
 /// wins. Counters: <base>/<set-name> for each set and <base>/other.
-[[nodiscard]] privcount::data_collector::instrument instrument_domain_sets(
+[[nodiscard]] privcount::instrument_factory instrument_domain_sets(
     std::string base, std::vector<domain_set> sets);
 
 /// Fig 3 TLD histogram over primary domains. Counters: <base>/<tld> for
 /// each given TLD, <base>/other, and (when `separate_torproject`)
 /// <base>/torproject.org counted apart. When `alexa` is non-null only
 /// list-member domains are counted (the figure's second series).
-[[nodiscard]] privcount::data_collector::instrument instrument_tld_histogram(
+[[nodiscard]] privcount::instrument_factory instrument_tld_histogram(
     std::string base, std::vector<std::string> tlds,
     std::shared_ptr<const workload::alexa_list> alexa, bool separate_torproject,
     std::shared_ptr<const workload::suffix_list> suffixes);
 
 /// Table 4 entry-side totals. Counters: entry/connections, entry/circuits,
 /// entry/bytes.
-[[nodiscard]] privcount::data_collector::instrument instrument_entry_totals();
+[[nodiscard]] privcount::instrument_factory instrument_entry_totals();
 
 /// Fig 4 per-country usage. Counters: country/<CC>/connections,
 /// country/<CC>/bytes, country/<CC>/circuits, country/<CC>/dir-requests
 /// (directory circuits only — the Tor-Metrics baseline input) for each
 /// listed code.
-[[nodiscard]] privcount::data_collector::instrument instrument_country_usage(
+[[nodiscard]] privcount::instrument_factory instrument_country_usage(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::string> country_codes);
 
 /// §5.2 AS hotspot counters: as/top1000/{connections,bytes,circuits} vs
 /// as/other/{...} split by whether the client ASN is in `top_asns`.
-[[nodiscard]] privcount::data_collector::instrument instrument_as_split(
+[[nodiscard]] privcount::instrument_factory instrument_as_split(
     std::shared_ptr<const workload::geoip_db> geo,
     std::vector<std::uint32_t> top_asns);
 
 /// Table 7 HSDir descriptor counters: hsdir/publishes, hsdir/fetch/total,
 /// hsdir/fetch/success, hsdir/fetch/failed, hsdir/fetch/success/public,
 /// hsdir/fetch/success/unknown (public = present in the ahmia index).
-[[nodiscard]] privcount::data_collector::instrument instrument_hsdir_descriptors(
+[[nodiscard]] privcount::instrument_factory instrument_hsdir_descriptors(
     std::shared_ptr<const workload::ahmia_index> index);
 
 /// Table 8 rendezvous counters: rend/circuits, rend/succeeded,
 /// rend/conn-closed, rend/expired, rend/cells (payload cells on successful
 /// circuits).
-[[nodiscard]] privcount::data_collector::instrument instrument_rendezvous();
+[[nodiscard]] privcount::instrument_factory instrument_rendezvous();
 
 // ---------------------------------------------------------------------------
 // PSC extractors (distinct-item measurements)
@@ -127,23 +135,21 @@ struct domain_set {
 //       deterministic ahmia index covering the paper's 56.8 % of the
 //       canonical synthetic service universe.
 // Instantiations with round-specific parameters still compose in code.
+// Each registered name is one row of a table in instruments.cpp
+// (instruments: name, factory, default specs; extractors: name, factory),
+// and the functions below all read that table.
 
 /// Registered instrument names: "stream_taxonomy", "entry_totals",
 /// "rendezvous", "tld_histogram", "domain_sets", "hsdir_ahmia".
 [[nodiscard]] const std::vector<std::string>& instrument_names();
-/// Slot-compiled fast path for a registered instrument when one exists
-/// ("stream_taxonomy", "entry_totals" — the hot ingest counters), else
-/// nullptr; callers fall back to wrapping instrument_by_name. Compiled and
-/// wrapped forms produce identical increments.
-[[nodiscard]] std::unique_ptr<privcount::batch_instrument> make_batch_instrument(
-    const std::string& name);
 /// Resolves a registered instrument; throws precondition_error on an
 /// unknown name.
-[[nodiscard]] privcount::data_collector::instrument instrument_by_name(
+[[nodiscard]] privcount::instrument_factory instrument_by_name(
     const std::string& name);
-/// Canonical counter specs for a registered instrument — the counters its
-/// increments feed, with paper-derived default sensitivities. A plan built
-/// from these measures everything the instrument emits.
+/// Canonical counter specs for a registered instrument: exactly the
+/// counters its increments feed, with paper-derived default
+/// sensitivities. A plan built from these measures everything the
+/// instrument emits.
 [[nodiscard]] std::vector<privcount::counter_spec> default_specs_for(
     const std::string& instrument_name);
 

@@ -35,16 +35,21 @@ class batch_instrument {
                            std::uint64_t* slab) = 0;
 };
 
-/// The string-callback instrument shape (kept as the extension point for
-/// instruments without a compiled fast path). Defined here, aliased by
-/// data_collector::instrument, so the adapter below needs no circular
-/// include.
+/// Makes one fresh, unbound instance of an instrument. A deployment calls
+/// it once per DC, so each DC binds its own slot table. Every catalogue
+/// instrument (src/core/instruments.h) is handed out this way.
+using instrument_factory = std::function<std::unique_ptr<batch_instrument>()>;
+
+/// An ad-hoc instrument written as a string callback: it names each
+/// counter it increments, per event. No catalogue instrument has this
+/// form; it serves one-off instruments in tests and the per-event
+/// baseline the batched-ingest bench measures against.
 using legacy_instrument = std::function<void(
     const tor::event&,
     const std::function<void(const std::string& counter, std::uint64_t amount)>&)>;
 
-/// Wraps a string-callback instrument as a batch_instrument, memoizing the
-/// name -> slot resolution per round.
+/// Runs a string-callback instrument as a batch_instrument: each increment
+/// resolves its counter name through the round's slot resolver.
 [[nodiscard]] std::unique_ptr<batch_instrument> adapt_instrument(
     legacy_instrument fn);
 

@@ -15,10 +15,6 @@ data_collector::data_collector(net::node_id self, net::node_id tally_server,
                                crypto::secure_rng& rng)
     : self_{self}, tally_server_{tally_server}, transport_{transport}, rng_{rng} {}
 
-void data_collector::add_instrument(instrument fn) {
-  add_instrument(adapt_instrument(std::move(fn)));
-}
-
 void data_collector::add_instrument(std::unique_ptr<batch_instrument> ins) {
   expects(ins != nullptr, "instrument must be callable");
   instruments_.push_back(std::move(ins));
@@ -62,6 +58,7 @@ void data_collector::on_configure(const configure_msg& m) {
   base_.assign(counter_names_.size(), 0);
   size_slabs();
   collecting_ = false;
+  configured_ = true;
 
   // Compile every instrument against this round's slot layout (unknown
   // names land in the trash slot and never reach the report).
@@ -102,29 +99,33 @@ void data_collector::on_configure(const configure_msg& m) {
   transport_.send(encode_simple(self_, tally_server_, msg_type::dc_ready, round_id_));
 }
 
+bool data_collector::configured_for(const net::message& msg,
+                                    const char* what) const {
+  // A round-id mismatch is a stale control from a previous round attempt
+  // reaching a restarted DC (the writer resends its queued suffix on
+  // reconnect). Crash recovery makes that a drop, not a protocol
+  // violation: the TS re-drives the round from configure. A control before
+  // any configure is dropped too: there are no bound slabs to collect into
+  // or report from.
+  if (!configured_ || decode_round_id(msg) != round_id_) {
+    log_line{log_level::warn} << "DC " << self_ << ": " << what
+                              << " for a stale or unconfigured round; dropping";
+    return false;
+  }
+  return true;
+}
+
 void data_collector::handle_message(const net::message& msg) {
   switch (static_cast<msg_type>(msg.type)) {
     case msg_type::configure:
       on_configure(decode_configure(msg));
       return;
     case msg_type::start_collection:
-      // A round-id mismatch is a stale control from a previous round
-      // attempt reaching a restarted DC (the writer resends its queued
-      // suffix on reconnect). Crash recovery makes that a drop, not a
-      // protocol violation: the TS re-drives the round from configure.
-      if (decode_round_id(msg) != round_id_) {
-        log_line{log_level::warn}
-            << "DC " << self_ << ": stale start_collection; dropping";
-        return;
-      }
+      if (!configured_for(msg, "start_collection")) return;
       collecting_ = true;
       return;
     case msg_type::stop_collection: {
-      if (decode_round_id(msg) != round_id_) {
-        log_line{log_level::warn}
-            << "DC " << self_ << ": stale stop_collection; dropping";
-        return;
-      }
+      if (!configured_for(msg, "stop_collection")) return;
       collecting_ = false;
       dc_report_msg report;
       report.round_id = round_id_;

@@ -29,17 +29,11 @@ namespace tormet::privcount {
 
 class data_collector final : public core::event_sink {
  public:
-  /// An instrument maps an observed Tor event to counter increments by name
-  /// (the `increment` callback may be invoked any number of times).
-  using instrument = legacy_instrument;
-
   data_collector(net::node_id self, net::node_id tally_server,
                  net::transport& transport, crypto::secure_rng& rng);
 
-  /// Registers a string-callback instrument (before or between rounds),
-  /// wrapped in the slot-memoizing batch adapter.
-  void add_instrument(instrument fn);
-  /// Registers a slot-compiled instrument (the fast path for hot counters).
+  /// Registers an instrument (before or between rounds); configure binds
+  /// it to each round's counter slots.
   void add_instrument(std::unique_ptr<batch_instrument> ins);
 
   /// Validated (>= 1, rejected while a round is collecting) and stored,
@@ -85,6 +79,10 @@ class data_collector final : public core::event_sink {
   static constexpr std::size_t k_row_padding = 8;
 
   void on_configure(const configure_msg& m);
+  /// True when `msg` (a start/stop control) names the round the last
+  /// handled configure set up; otherwise logs `what` and returns false.
+  [[nodiscard]] bool configured_for(const net::message& msg,
+                                    const char* what) const;
   /// Slab rows: one per party (pool workers + the caller).
   [[nodiscard]] std::size_t rows() const noexcept;
   /// Slots per row: the counters, the trash slot, then the padding.
@@ -105,6 +103,7 @@ class data_collector final : public core::event_sink {
   std::vector<std::uint64_t> slabs_;  // rows() rows of stride() slots
   std::size_t shards_ = 1;           // validated, otherwise unused
   std::shared_ptr<util::thread_pool> pool_;  // ingest workers (may be null)
+  bool configured_ = false;  // a configure has been handled
   bool collecting_ = false;
   std::uint64_t events_observed_ = 0;
 };

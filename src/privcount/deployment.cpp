@@ -55,8 +55,9 @@ deployment::deployment(net::transport& transport, const deployment_config& confi
   }
 }
 
-void deployment::add_instrument(data_collector::instrument fn) {
-  for (const auto& dc : dcs_) dc->add_instrument(fn);
+void deployment::add_instrument(const instrument_factory& make) {
+  expects(make != nullptr, "instrument factory must be callable");
+  for (const auto& dc : dcs_) dc->add_instrument(make());
 }
 
 void deployment::attach(tor::network& net) {

@@ -1,7 +1,9 @@
 // Convenience wrapper assembling a full PrivCount deployment (1 TS, k SKs,
 // n DCs) over a transport, wiring DCs to the relays of a tor::network, and
 // running measurement rounds end to end. This is the object the paper's
-// §3.1 deployment corresponds to (1 TS, 3 SKs, 16 DCs).
+// §3.1 deployment corresponds to (1 TS, 3 SKs, 16 DCs). Instruments arrive
+// as factories (core::instrument_by_name and the core::instrument_*
+// builders), so every DC binds its own instance to the round's slots.
 #pragma once
 
 #include <map>
@@ -41,8 +43,9 @@ class deployment {
   /// assigned: TS=0, SKs=1..k, DCs=k+1..k+n (in measured_relays order).
   deployment(net::transport& transport, const deployment_config& config);
 
-  /// Installs an instrument on every DC.
-  void add_instrument(data_collector::instrument fn);
+  /// Installs an instrument on every DC: one fresh instance per DC from
+  /// `make` (e.g. core::instrument_by_name(name)).
+  void add_instrument(const instrument_factory& make);
 
   /// Hooks the DCs into `net`: sets its observed-relay set and event sink
   /// (events route to the DC of the observing relay).

@@ -257,18 +257,25 @@ scenario_truth compute_scenario_truth(
   truth.scenario = params.name;
   truth.seed = params.seed;
 
-  // The registry closures ARE the measurement: running them here over the
-  // raw events guarantees a noiseless pipeline round reproduces these
-  // numbers exactly (same code, no alternate arithmetic to drift).
-  std::vector<privcount::data_collector::instrument> fns;
-  std::vector<std::vector<std::string>> counter_names;
+  // The registry instruments ARE the measurement: binding the same
+  // compiled instruments a DC runs against the spec names guarantees a
+  // noiseless pipeline round reproduces these numbers exactly (same code,
+  // no alternate arithmetic to drift). One slot per spec name, then the
+  // trash slot, as in a DC's slab.
+  std::map<std::string, std::size_t> slot_of;
   for (const auto& name : instruments) {
-    fns.push_back(core::instrument_by_name(name));
-    std::vector<std::string> specs;
     for (const auto& spec : core::default_specs_for(name)) {
-      specs.push_back(spec.name);
+      slot_of.emplace(spec.name, slot_of.size());
     }
-    counter_names.push_back(std::move(specs));
+  }
+  const std::size_t trash = slot_of.size();
+  std::vector<std::unique_ptr<privcount::batch_instrument>> bound;
+  for (const auto& name : instruments) {
+    bound.push_back(core::instrument_by_name(name)());
+    bound.back()->bind([&](const std::string& counter) {
+      const auto it = slot_of.find(counter);
+      return it == slot_of.end() ? trash : it->second;
+    });
   }
   std::vector<psc::data_collector::extractor> exs;
   for (const auto& name : extractors) {
@@ -286,26 +293,20 @@ scenario_truth compute_scenario_truth(
       end = start + round_duration_s;
     }
     scenario_round_truth rt;
-    std::map<std::string, std::uint64_t> counters;
-    for (const auto& names : counter_names) {
-      for (const auto& n : names) counters.emplace(n, 0);
-    }
+    std::vector<std::uint64_t> slab(trash + 1, 0);
     std::vector<std::set<std::string>> distinct{exs.size()};
-    const auto tally = [&](const std::string& counter, std::uint64_t amount) {
-      counters[counter] += amount;
-    };
     for (const auto& events : per_dc) {
       for (const tor::event& ev : events) {
         if (ev.at.seconds < start || ev.at.seconds >= end) continue;
         ++rt.events;
-        for (const auto& fn : fns) fn(ev, tally);
+        for (const auto& ins : bound) ins->ingest_span(&ev, 1, slab.data());
         for (std::size_t e = 0; e < exs.size(); ++e) {
           if (auto item = exs[e](ev)) distinct[e].insert(*std::move(item));
         }
       }
     }
-    for (const auto& [name, value] : counters) {
-      rt.counters.emplace_back(name, value);
+    for (const auto& [name, slot] : slot_of) {
+      rt.counters.emplace_back(name, slab[slot]);
     }
     for (std::size_t e = 0; e < exs.size(); ++e) {
       rt.distinct.emplace_back(extractors[e], distinct[e].size());

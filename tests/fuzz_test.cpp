@@ -350,17 +350,21 @@ TEST(FuzzTest, PlanParserRejectsGuaranteedInvalidMutations) {
                precondition_error);
 }
 
-/// A valid scenario plan whose `workload scenario ...` argument is
-/// replaced by `arg`, so the scenario spec parser can be fuzzed in situ.
-[[nodiscard]] std::string scenario_plan_with_arg(const std::string& arg) {
+/// A valid scenario (or relays) plan whose `workload scenario ...` (or
+/// `workload relays ...`) argument is replaced by `arg`, so the
+/// comma-joined workload spec parser can be fuzzed in situ.
+[[nodiscard]] std::string workload_plan_with_arg(cli::workload_kind kind,
+                                                 const std::string& arg) {
   cli::deployment_plan plan =
       cli::make_privcount_plan(2, 1, {{"entry/connections", 12.0, 100.0}});
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     plan.nodes[i].port = static_cast<std::uint16_t>(9200 + i);
   }
   plan.instruments = {"entry_totals"};
-  plan.workload.kind = cli::workload_kind::scenario;
-  plan.workload.model = "flash_crowd";
+  plan.workload.kind = kind;
+  plan.workload.model =
+      kind == cli::workload_kind::scenario ? "flash_crowd" : "zipf";
+  plan.workload.relay_count = 4;
   plan.workload.scale = 0.5;
   plan.workload.events = 500;
   plan.workload.gen_seed = 3;
@@ -368,11 +372,17 @@ TEST(FuzzTest, PlanParserRejectsGuaranteedInvalidMutations) {
   plan.schedule_rounds = 2;
   plan.round_duration_s = k_seconds_per_day;
   const std::string text = cli::serialize_plan(plan);
-  const std::string key = "workload scenario ";
+  const std::string key =
+      kind == cli::workload_kind::scenario ? "workload scenario "
+                                           : "workload relays ";
   const std::size_t pos = text.find(key);
   EXPECT_NE(pos, std::string::npos);
   const std::size_t eol = text.find('\n', pos);
   return text.substr(0, pos) + key + arg + text.substr(eol);
+}
+
+[[nodiscard]] std::string scenario_plan_with_arg(const std::string& arg) {
+  return workload_plan_with_arg(cli::workload_kind::scenario, arg);
 }
 
 TEST(FuzzTest, ScenarioWorkloadSpecTypedRejections) {
@@ -405,6 +415,50 @@ TEST(FuzzTest, ScenarioWorkloadSpecTypedRejections) {
     EXPECT_THROW((void)cli::parse_plan(scenario_plan_with_arg(bad)),
                  precondition_error)
         << "accepted malformed scenario spec: " << bad;
+  }
+}
+
+TEST(FuzzTest, RelaysWorkloadSpecTypedRejections) {
+  const auto plan_with = [](const std::string& arg) {
+    return workload_plan_with_arg(cli::workload_kind::relays, arg);
+  };
+  // The serializer's own spelling parses, with and without days.
+  EXPECT_NO_THROW((void)cli::parse_plan(plan_with("4,zipf,0.5,500,3,2")));
+  EXPECT_NO_THROW((void)cli::parse_plan(plan_with("4,zipf,0.5,500,3")));
+  for (const char* bad : {
+           "0,zipf,0.5,500,3,2",          // count must be >= 1
+           "100001,zipf,0.5,500,3,2",     // count past the cap
+           "-4,zipf,0.5,500,3,2",         // negative count
+           "four,zipf,0.5,500,3,2",       // junk count
+           "4x,zipf,0.5,500,3,2",         // trailing junk in count
+           "3,zipf,0.5,500,3,2",          // count not a multiple of the DCs
+           "4,zipff,0.5,500,3,2",         // unknown trace model
+           "4",                           // missing fields
+           "4,zipf",                      // missing fields
+           "4,zipf,0.5,500",              // missing fields
+           "4,zipf,0.5,500,3,2,9",        // extra field
+           ",zipf,0.5,500,3,2",           // empty count
+           "4,,0.5,500,3,2",              // empty model
+           "4,zipf,,500,3,2",             // empty scale
+           "4,zipf,0.5,,3,2",             // empty events
+           "4,zipf,0.5,500,,2",           // empty seed
+           "4,zipf,0.5,500,3,",           // empty days
+           "4,zipf,0,500,3",              // scale must be > 0
+           "4,zipf,-1,500,3",             // negative scale
+           "4,zipf,1001,500,3",           // scale past the cap
+           "4,zipf,nan,500,3",            // junk scale
+           "4,zipf,0.5x,500,3",           // trailing junk in scale
+           "4,zipf,0.5,0,3",              // events must be >= 1
+           "4,zipf,0.5,100000001,3",      // events past the cap
+           "4,zipf,0.5,5x0,3",            // junk events
+           "4,zipf,0.5,500,-3",           // negative seed
+           "4,zipf,0.5,500,s3",           // junk seed
+           "4,zipf,0.5,500,3,0",          // days must be >= 1
+           "4,zipf,0.5,500,3,367",        // days past a year
+           "4,zipf,0.5,500,3,two",        // junk days
+       }) {
+    EXPECT_THROW((void)cli::parse_plan(plan_with(bad)), precondition_error)
+        << "accepted malformed relays spec: " << bad;
   }
 }
 

@@ -56,16 +56,12 @@ namespace {
 
 // -- PrivCount ---------------------------------------------------------------
 
-/// Which form of the stream_taxonomy and entry_totals instruments a DC
-/// runs: the slot-compiled batch form or the string-callback closure form
-/// behind the legacy adapter. Both emit the same increments.
-enum class instrument_form { compiled, closure };
-
-/// The configure message for the two instruments' default counters.
+/// The configure message for every registered instrument's default
+/// counters.
 [[nodiscard]] privcount::configure_msg privcount_configure() {
   privcount::configure_msg cfg;
   cfg.round_id = 1;
-  for (const auto& instrument : {"stream_taxonomy", "entry_totals"}) {
+  for (const auto& instrument : core::instrument_names()) {
     for (const auto& spec : core::default_specs_for(instrument)) {
       cfg.counter_names.push_back(spec.name);
       cfg.sigmas.push_back(1.5);
@@ -75,15 +71,31 @@ enum class instrument_form { compiled, closure };
   return cfg;
 }
 
-void add_privcount_instruments(privcount::data_collector& dc,
-                               instrument_form form) {
-  for (const auto& name : {"stream_taxonomy", "entry_totals"}) {
-    if (form == instrument_form::compiled) {
-      dc.add_instrument(core::make_batch_instrument(name));
-    } else {
-      dc.add_instrument(core::instrument_by_name(name));
-    }
+void add_privcount_instruments(privcount::data_collector& dc) {
+  for (const auto& name : core::instrument_names()) {
+    dc.add_instrument(core::instrument_by_name(name)());
   }
+}
+
+/// Events that reach every registered instrument's branches: exit streams
+/// and entry events (mixed) plus HSDir and rendezvous activity (onion),
+/// topped up with zipf streams to `min_events`.
+[[nodiscard]] std::vector<tor::event> all_instrument_events(
+    std::size_t min_events, std::uint64_t seed) {
+  std::vector<tor::event> out;
+  for (const char* model : {"mixed", "onion"}) {
+    workload::trace_gen_params params;
+    params.model = model;
+    params.dcs = 1;
+    params.seed = seed;
+    const auto events = workload::generate_trace_events(params).front();
+    out.insert(out.end(), events.begin(), events.end());
+  }
+  if (out.size() < min_events) {
+    const auto zipf = zipf_events(min_events - out.size(), seed);
+    out.insert(out.end(), zipf.begin(), zipf.end());
+  }
+  return out;
 }
 
 /// Runs one PrivCount collection round over `events` and returns the
@@ -95,7 +107,7 @@ void add_privcount_instruments(privcount::data_collector& dc,
 /// are comparable byte for byte.
 [[nodiscard]] std::vector<std::uint8_t> privcount_report_bytes(
     const std::vector<tor::event>& events, std::size_t workers,
-    std::size_t chunk, instrument_form form = instrument_form::closure,
+    std::size_t chunk,
     const std::function<void(privcount::data_collector&)>& before_start =
         nullptr) {
   net::inproc_net bus;
@@ -107,7 +119,7 @@ void add_privcount_instruments(privcount::data_collector& dc,
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  add_privcount_instruments(dc, form);
+  add_privcount_instruments(dc);
   if (workers > 0) {
     dc.set_thread_pool(std::make_shared<util::thread_pool>(workers));
   }
@@ -134,24 +146,20 @@ void add_privcount_instruments(privcount::data_collector& dc,
 }
 
 TEST(ParallelIngestTest, PrivcountWorkerSplitMatrixIsByteIdentical) {
-  const std::vector<tor::event> events = zipf_events(20'000, 17);
+  // Every registered instrument, over events reaching all of their
+  // branches.
+  const std::vector<tor::event> events = all_instrument_events(20'000, 17);
   // Strictest baseline: per-event observe() through the event_sink
-  // interface, closure instruments, no pool.
+  // interface, no pool.
   const std::vector<std::uint8_t> reference =
       privcount_report_bytes(events, 0, 0);
   // Spans of 1 and 7 stay on the caller; 8191 and the whole stream split
   // across the parties at chunk edges that fall anywhere.
-  for (const instrument_form form :
-       {instrument_form::compiled, instrument_form::closure}) {
-    for (const std::size_t workers : {0, 1, 2, 4}) {
-      for (const std::size_t split : {std::size_t{1}, std::size_t{7},
-                                      std::size_t{8191}, events.size()}) {
-        EXPECT_EQ(privcount_report_bytes(events, workers, split, form),
-                  reference)
-            << "report diverged at " << workers << " workers, span " << split
-            << (form == instrument_form::compiled ? ", compiled"
-                                                  : ", closure");
-      }
+  for (const std::size_t workers : {0, 1, 2, 4}) {
+    for (const std::size_t split : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{8191}, events.size()}) {
+      EXPECT_EQ(privcount_report_bytes(events, workers, split), reference)
+          << "report diverged at " << workers << " workers, span " << split;
     }
   }
 }
@@ -171,8 +179,7 @@ TEST(ParallelIngestTest, PrivcountPoolChangeBetweenConfigureAndStartIsSafe) {
                                ? nullptr
                                : std::make_shared<util::thread_pool>(after));
       };
-      EXPECT_EQ(privcount_report_bytes(events, before, events.size(),
-                                       instrument_form::compiled, change),
+      EXPECT_EQ(privcount_report_bytes(events, before, events.size(), change),
                 reference)
           << "pool " << before << " -> " << after << " workers";
     }
@@ -184,7 +191,7 @@ TEST(ParallelIngestTest, PrivcountRejectsIngestPlaneChangesWhileCollecting) {
   bus.register_node(0, [](const net::message&) {});
   crypto::deterministic_rng rng{7};
   privcount::data_collector dc{1, 0, bus, rng};
-  dc.add_instrument(core::make_batch_instrument("stream_taxonomy"));
+  dc.add_instrument(core::instrument_by_name("stream_taxonomy")());
   privcount::configure_msg cfg;
   cfg.round_id = 1;
   for (const auto& spec : core::default_specs_for("stream_taxonomy")) {
@@ -403,7 +410,7 @@ TEST(ParallelIngestTest, ThreadedIngestSoakStaysConsistentAcrossRounds) {
   std::vector<std::uint8_t> first;
   for (int round = 0; round < 3; ++round) {
     const std::vector<std::uint8_t> report = privcount_report_bytes(
-        events, hw, 12'289, instrument_form::compiled);
+        events, hw, 12'289);
     if (first.empty()) {
       first = report;
     } else {
@@ -475,7 +482,7 @@ TEST(ParallelIngestTest, FlashCrowdSurgeThroughSocketFeederLosesNothing) {
   });
   crypto::deterministic_rng rng{4242};
   privcount::data_collector dc{1, 0, bus, rng};
-  add_privcount_instruments(dc, instrument_form::compiled);
+  add_privcount_instruments(dc);
   dc.set_thread_pool(std::make_shared<util::thread_pool>(4));
   dc.handle_message(privcount::encode_configure(0, 1, privcount_configure()));
   dc.handle_message(

@@ -1,22 +1,41 @@
 // Direct unit tests for the core instrument/extractor catalogue: every
-// event-to-counter mapping and every PSC item extractor.
+// event-to-counter mapping (run through the compiled instruments the DCs
+// run) and every PSC item extractor.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
 #include "src/core/instruments.h"
+#include "src/workload/trace_gen.h"
 
 namespace tormet::core {
 namespace {
 
 using counter_map = std::map<std::string, std::uint64_t>;
 
-[[nodiscard]] counter_map run_instrument(const privcount::data_collector::instrument& fn,
-                                const tor::event& ev) {
+/// Runs `events` through a fresh instance of `make` bound to local slots
+/// (one per counter name it binds) and returns the nonzero counters.
+[[nodiscard]] counter_map run_instrument(const privcount::instrument_factory& make,
+                                         const std::vector<tor::event>& events) {
+  const auto ins = make();
+  std::vector<std::string> names;
+  ins->bind([&names](const std::string& name) {
+    names.push_back(name);
+    return names.size() - 1;
+  });
+  std::vector<std::uint64_t> slab(names.size(), 0);
+  ins->ingest_span(events.data(), events.size(), slab.data());
   counter_map out;
-  fn(ev, [&](const std::string& name, std::uint64_t n) { out[name] += n; });
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (slab[i] != 0) out[names[i]] += slab[i];
+  }
   return out;
+}
+
+[[nodiscard]] counter_map run_instrument(const privcount::instrument_factory& make,
+                                         const tor::event& ev) {
+  return run_instrument(make, std::vector<tor::event>{ev});
 }
 
 [[nodiscard]] tor::event stream_event(std::string host, bool initial = true,
@@ -241,14 +260,51 @@ TEST(RegistryTest, ParameterizedInstrumentsResolveDeterministically) {
     batch.push_back(fetch);
   }
   for (const auto& name : instrument_names()) {
-    const auto a = instrument_by_name(name);
-    const auto b = instrument_by_name(name);
-    counter_map counts_a, counts_b;
-    for (const auto& ev : batch) {
-      a(ev, [&](const std::string& c, std::uint64_t n) { counts_a[c] += n; });
-      b(ev, [&](const std::string& c, std::uint64_t n) { counts_b[c] += n; });
+    EXPECT_EQ(run_instrument(instrument_by_name(name), batch),
+              run_instrument(instrument_by_name(name), batch))
+        << name;
+  }
+}
+
+/// The registry contract the plans rely on: a plan built from
+/// default_specs_for(name) measures everything the instrument emits. Each
+/// instrument binds exactly its default spec names, and over traces that
+/// reach every branch (exit streams, entry events, HSDir and rendezvous
+/// activity) no increment lands in the trash slot.
+TEST(RegistryTest, DefaultSpecsNameExactlyTheCountersEachInstrumentEmits) {
+  std::vector<tor::event> trace;
+  for (const char* model : {"mixed", "onion"}) {
+    workload::trace_gen_params params;
+    params.model = model;
+    params.dcs = 1;
+    params.seed = 11;
+    const auto events = workload::generate_trace_events(params).front();
+    trace.insert(trace.end(), events.begin(), events.end());
+  }
+  for (const auto& name : instrument_names()) {
+    std::map<std::string, std::size_t> slot_of;
+    for (const auto& spec : default_specs_for(name)) {
+      EXPECT_TRUE(slot_of.emplace(spec.name, slot_of.size()).second)
+          << name << " repeats " << spec.name;
     }
-    EXPECT_EQ(counts_a, counts_b) << name;
+    const std::size_t trash = slot_of.size();
+    std::set<std::string> bound;
+    const auto ins = instrument_by_name(name)();
+    ins->bind([&](const std::string& counter) {
+      bound.insert(counter);
+      const auto it = slot_of.find(counter);
+      return it == slot_of.end() ? trash : it->second;
+    });
+    std::set<std::string> spec_names;
+    for (const auto& [counter, slot] : slot_of) spec_names.insert(counter);
+    EXPECT_EQ(bound, spec_names) << name;
+
+    std::vector<std::uint64_t> slab(trash + 1, 0);
+    ins->ingest_span(trace.data(), trace.size(), slab.data());
+    EXPECT_EQ(slab[trash], 0u) << name << " incremented an unlisted counter";
+    std::uint64_t counted = 0;
+    for (std::size_t i = 0; i < trash; ++i) counted += slab[i];
+    EXPECT_GT(counted, 0u) << name << " saw nothing in the trace";
   }
 }
 

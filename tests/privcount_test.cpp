@@ -3,6 +3,7 @@
 // instruments, multi-round reuse.
 #include <gtest/gtest.h>
 
+#include "src/core/instruments.h"
 #include "src/crypto/secret_sharing.h"
 #include "src/net/inproc.h"
 #include "src/net/wire.h"
@@ -10,6 +11,7 @@
 #include "src/privcount/share_keeper.h"
 #include "src/tor/network.h"
 #include "src/util/check.h"
+#include "src/workload/trace_gen.h"
 
 namespace tormet::privcount {
 namespace {
@@ -21,12 +23,15 @@ namespace {
   return tor::network{tor::make_synthetic_consensus(params), seed};
 }
 
-/// Instrument counting entry connections into "conns".
-[[nodiscard]] data_collector::instrument count_connections() {
-  return [](const tor::event& ev, const auto& incr) {
-    if (std::holds_alternative<tor::entry_connection_event>(ev.body)) {
-      incr("conns", 1);
-    }
+/// Instrument counting entry connections into "conns": an ad-hoc string
+/// callback behind the adapter.
+[[nodiscard]] instrument_factory count_connections() {
+  return [] {
+    return adapt_instrument([](const tor::event& ev, const auto& incr) {
+      if (std::holds_alternative<tor::entry_connection_event>(ev.body)) {
+        incr("conns", 1);
+      }
+    });
   };
 }
 
@@ -115,12 +120,14 @@ TEST_F(PrivcountRoundTest, NoiseIsAppliedAtConfiguredSigma) {
 TEST_F(PrivcountRoundTest, HistogramCountersAreIndependent) {
   net::inproc_net bus;
   deployment dep{bus, config(/*noise=*/false)};
-  dep.add_instrument([](const tor::event& ev, const auto& incr) {
-    if (const auto* c = std::get_if<tor::entry_circuit_event>(&ev.body)) {
-      incr(std::string{"kind/"} +
-               (c->kind == tor::circuit_kind::directory ? "dir" : "other"),
-           1);
-    }
+  dep.add_instrument([] {
+    return adapt_instrument([](const tor::event& ev, const auto& incr) {
+      if (const auto* c = std::get_if<tor::entry_circuit_event>(&ev.body)) {
+        incr(std::string{"kind/"} +
+                 (c->kind == tor::circuit_kind::directory ? "dir" : "other"),
+             1);
+      }
+    });
   });
   dep.attach(net_);
 
@@ -370,6 +377,38 @@ TEST(PrivcountMessagesTest, MalformedConfigureThrows) {
   net::message junk;
   junk.payload = {0x01};
   EXPECT_THROW((void)decode_configure(junk), net::wire_error);
+}
+
+TEST(PrivcountDataCollectorTest, ControlsBeforeAnyConfigureAreDropped) {
+  // A hostile or confused peer sends start_collection for round 0 before
+  // any configure (a fresh DC's round id is 0). The DC has no bound slabs
+  // to collect into, so it must drop the control: the ingest after it used
+  // to write through a null slab pointer, and the stop_collection to trip
+  // merge_slabs' shape precondition.
+  net::inproc_net bus;
+  std::size_t reports = 0;
+  bus.register_node(0, [&](const net::message& m) {
+    if (m.type == static_cast<std::uint16_t>(msg_type::dc_report)) ++reports;
+  });
+  crypto::deterministic_rng rng{3};
+  data_collector dc{1, 0, bus, rng};
+  dc.add_instrument(core::instrument_by_name("stream_taxonomy")());
+  workload::trace_gen_params params;
+  params.model = "zipf";
+  params.dcs = 1;
+  params.events = 1000;
+  params.seed = 5;
+  const std::vector<tor::event> events =
+      workload::generate_trace_events(params).front();
+  ASSERT_GE(events.size(), 1000u);
+
+  dc.handle_message(encode_simple(0, 1, msg_type::start_collection, 0));
+  EXPECT_FALSE(dc.collecting());
+  dc.ingest(events.data(), events.size());
+  dc.handle_message(encode_simple(0, 1, msg_type::stop_collection, 0));
+  bus.run_until_quiescent();
+  EXPECT_EQ(reports, 0u);
+  EXPECT_EQ(dc.events_observed(), 0u);
 }
 
 TEST(PrivcountMessagesTest, ReportRoundTrips) {
